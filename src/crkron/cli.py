@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Plain decimal output on a single line by default; ``--json`` switches to
-structured output.  Exit codes: 0 success, 1 internal assertion failure,
-2 invalid input (one-line diagnostic on stderr).
+structured output.  Exit codes: 0 success, 1 internal failure (a broken
+invariant or assertion), 2 invalid input; failures print a one-line
+diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .kronecker import (
     kron_via_faces,
     normalize_triple,
 )
-from .partitions import parse_composition, parse_partition, partitions_of
+from .partitions import InvariantViolation, parse_composition, parse_partition, partitions_of
 from .polytope import CRSystem, cone_dim, count_points, enumerate_points, polytope_dim_bound
 from .tableaux import count_lr_pairs, theorem41_map
 
@@ -239,7 +240,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
+    except (InvariantViolation, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

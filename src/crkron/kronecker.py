@@ -14,7 +14,14 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Sequence, TypeVar
 
-from .partitions import Composition, Partition, SizeMismatch, partition, sort_desc
+from .partitions import (
+    Composition,
+    InvariantViolation,
+    Partition,
+    SizeMismatch,
+    partition,
+    sort_desc,
+)
 from .polytope import (
     ColTight,
     CRSystem,
@@ -173,6 +180,13 @@ def cr_count(lam: Partition, mu: Partition, tau: Composition) -> int:
     return _cr_count_cached(tuple(lam), tuple(mu), key)
 
 
+def _nonnegative(total: int, lam: Partition, mu: Partition, nu: Partition) -> int:
+    """A Kronecker coefficient is a multiplicity, so ``total`` must be >= 0."""
+    if total < 0:
+        raise InvariantViolation(f"negative coefficient {total} for {lam}, {mu}, {nu}")
+    return total
+
+
 def kron_via_cr(lam: Partition, mu: Partition, nu: Partition, threads: int = 1) -> int:
     """Kronecker coefficient as a signed sum of whole-polytope point counts."""
     lam2, mu2, nu2, shortcut = normalize_triple(lam, mu, nu)
@@ -181,8 +195,7 @@ def kron_via_cr(lam: Partition, mu: Partition, nu: Partition, threads: int = 1) 
     terms = jt_expansion(nu2)
     counts = _map_ordered(lambda term: cr_count(lam2, mu2, term.gamma), terms, threads)
     total = sum(term.sign * cnt for term, cnt in zip(terms, counts))
-    assert total >= 0, f"negative coefficient {total} for {lam}, {mu}, {nu}"
-    return total
+    return _nonnegative(total, lam, mu, nu)
 
 
 def z_matrix(ell: int, p: int, q: int, r: int) -> Tensor3:
@@ -254,7 +267,8 @@ def face_term_breakdown(
     terms = jt_pair_expansion(nu2)
 
     def run(term: JTPairTerm) -> tuple[int, int]:
-        assert term.b >= 1, "pair terms from a partition always have b >= 1"
+        if term.b < 1:
+            raise InvariantViolation(f"pair term {term} has b < 1; a partition never gives one")
         tau, tau_bar = term.tau, term.tau_bar
         plus = count_points(CRSystem(lam2, mu2, tau), face_F_plus(lam2, mu2, tau, ell))
         minus = count_points(
@@ -284,5 +298,4 @@ def kron_via_faces(lam: Partition, mu: Partition, nu: Partition, ell: int = 1, t
         return _shortcut_value(lam2, mu2, nu2)
     breakdown = face_term_breakdown(lam, mu, nu, ell, threads)
     total = sum(item["sign"] * (item["countPlus"] - item["countMinus"]) for item in breakdown)
-    assert total >= 0, f"negative coefficient {total} for {lam}, {mu}, {nu}"
-    return total
+    return _nonnegative(total, lam, mu, nu)

@@ -21,6 +21,10 @@ class SizeMismatch(ValueError):
     """Two inputs that must have equal size do not."""
 
 
+class InvariantViolation(RuntimeError):
+    """A mathematical invariant failed: a fault in the program, not in its input."""
+
+
 def partition(parts: Iterable[int]) -> Partition:
     """Validate ``parts`` as a partition; trailing zeros are stripped."""
     seq = tuple(int(x) for x in parts)

@@ -8,14 +8,17 @@ a vanishing staircase and a family of column/row prefix-sum inequalities.
 
 Counting is exhaustive: a depth-first assignment of entries in level-major,
 row-major order, pruned by marginal residuals and by each inequality as soon
-as its last referenced entry has been assigned.  No floating point anywhere;
-rational data uses ``fractions.Fraction``.
+as its last referenced entry has been assigned.  A union of faces is counted
+in the same search, with each face compiled to a linear form that is 0
+exactly on it.  No floating point anywhere; rational data uses
+``fractions.Fraction``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
@@ -160,21 +163,6 @@ class FaceUnion:
 FacePredicate = Union[DiagZero, EntryZero, ColTight, RowTight, FaceUnion]
 
 
-def face_contains(tensor: Tensor3, face: FacePredicate) -> bool:
-    """Whether ``tensor`` lies in the face (tensor assumed in the ambient cone)."""
-    if isinstance(face, FaceUnion):
-        return any(face_contains(tensor, member) for member in face.faces)
-    if isinstance(face, DiagZero):
-        return diag_values(tensor)[face.index - 1] == 0
-    if isinstance(face, EntryZero):
-        return tensor.entry(face.index, face.index, 2) == 0
-    if isinstance(face, ColTight):
-        return col_ineq_slack(tensor, face.j, face.t) == 0
-    if isinstance(face, RowTight):
-        return row_ineq_slack(tensor, face.i, face.s) == 0
-    raise TypeError(f"not a face predicate: {face!r}")
-
-
 # --- constraint compilation ------------------------------------------------
 
 # A check is a pair (lhs, rhs) of flat-index tuples meaning
@@ -200,8 +188,10 @@ def _row_cell(row: int, col: int, p: int, q: int, r: int) -> tuple[int, int, int
     return row, j, k
 
 
+@lru_cache(maxsize=None)
 def _compile_constraints(p: int, q: int, r: int):
-    """Vanishing cells and prefix-sum checks for the (p, q, r) column-row cone."""
+    """Vanishing cells, check labels and prefix-sum checks of the (p, q, r)
+    column-row cone: ``(vanishing, col_labels, row_labels, checks)``."""
     vanishing = set()
     for k in range(1, r + 1):
         bound = min(k * p, k * q) + 1
@@ -234,7 +224,45 @@ def _compile_constraints(p: int, q: int, r: int):
             )
             row_checks.append(((i, j), lhs, rhs))
 
-    return vanishing, tuple(col_checks), tuple(row_checks)
+    return (
+        frozenset(vanishing),
+        tuple(label for label, _, _ in col_checks),
+        tuple(label for label, _, _ in row_checks),
+        tuple((lhs, rhs) for _, lhs, rhs in col_checks + row_checks),
+    )
+
+
+@lru_cache(maxsize=None)
+def _face_forms(face: FacePredicate, p: int, q: int, r: int) -> tuple:
+    """A face predicate as checks ``(lhs, rhs)`` over flat indices.
+
+    On the cone sum(lhs) >= sum(rhs); a point lies on the face (on some
+    member, for a union) where sum(lhs) == sum(rhs).  The diagonal value
+    x_d of the first level is its cell (1, d, 1), which needs p <= q.
+    """
+    if isinstance(face, FaceUnion):
+        return tuple(form for member in face.faces for form in _face_forms(member, p, q, r))
+    if isinstance(face, EntryZero):
+        if not (r >= 2 and 1 <= face.index <= min(p, q)):
+            raise ValueError(f"{face} out of range for dims {(p, q, r)}")
+        return (((_flat(face.index, face.index, 2, p, q),), ()),)
+    if not isinstance(face, (DiagZero, ColTight, RowTight)):
+        raise TypeError(f"not a face predicate: {face!r}")
+    if p > q:
+        raise NotDiagConstant(f"requires p <= q, got dims {(p, q, r)}")
+    if isinstance(face, DiagZero):
+        if not 1 <= face.index <= p:
+            raise ValueError(f"{face} out of range [1, {p}]")
+        lhs, rhs = [(1, face.index, 1)], []
+    elif isinstance(face, ColTight):
+        _check_col_ineq(face.j, face.t, p, q, r)
+        lhs = [(1, face.j, 1)] + _col_prefix_cells(face.j, face.t - 1, p)
+        rhs = _col_prefix_cells(face.j + 1, face.t, p)
+    else:
+        _check_row_ineq(face.i, face.s, p, q, r)
+        lhs = [(1, face.i, 1)] + _row_prefix_cells(face.i, face.s - 1, q)
+        rhs = _row_prefix_cells(face.i + 1, face.s, q)
+    return ((tuple(_flat(*c, p, q) for c in lhs), tuple(_flat(*c, p, q) for c in rhs)),)
 
 
 class CRSystem:
@@ -267,11 +295,12 @@ class CRSystem:
         self.q = len(self.mu)
         self.r = len(self.tau)
         self.transport_only = bool(transport_only)
-        vanishing, col_checks, row_checks = _compile_constraints(self.p, self.q, self.r)
-        self.vanishing = frozenset(vanishing)
-        self.column_inequalities = tuple(label for label, _, _ in col_checks)
-        self.row_inequalities = tuple(label for label, _, _ in row_checks)
-        self._checks = tuple((lhs, rhs) for _, lhs, rhs in col_checks + row_checks)
+        (
+            self.vanishing,
+            self.column_inequalities,
+            self.row_inequalities,
+            self._checks,
+        ) = _compile_constraints(self.p, self.q, self.r)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -300,14 +329,11 @@ def _flat_entries(tensor: Tensor3) -> list[Number]:
 
 def _cone_conditions_hold(tensor: Tensor3) -> bool:
     p, q, r = tensor.dims
-    vanishing, col_checks, row_checks = _compile_constraints(p, q, r)
+    vanishing, _, _, checks = _compile_constraints(p, q, r)
     entries = _flat_entries(tensor)
     if any(entries[_flat(i, j, k, p, q)] != 0 for (i, j, k) in vanishing):
         return False
-    for _, lhs, rhs in col_checks + row_checks:
-        if sum(entries[t] for t in lhs) < sum(entries[t] for t in rhs):
-            return False
-    return True
+    return all(sum(entries[t] for t in lhs) >= sum(entries[t] for t in rhs) for lhs, rhs in checks)
 
 
 def in_cone(tensor: Tensor3) -> bool:
@@ -343,8 +369,14 @@ def flatten_row(tensor: Tensor3):
 # --- exhaustive search -----------------------------------------------------
 
 
-def _search(system: CRSystem, on_solution: Callable[[list[int]], None]) -> None:
-    """Depth-first assignment of all integer points, lexicographic order."""
+def _search(
+    system: CRSystem, on_solution: Callable[[list[int]], None], forms: tuple | None = None
+) -> None:
+    """Depth-first assignment of all integer points, lexicographic order.
+
+    With ``forms`` (see ``_face_forms``) only the points on the union of
+    their faces reach ``on_solution``.
+    """
     p, q, r = system.dims
     total_cells = p * q * r
     forced = [False] * total_cells
@@ -436,7 +468,55 @@ def _search(system: CRSystem, on_solution: Callable[[list[int]], None]) -> None:
             lev_rem[k] += v
         entries[idx] = 0
 
-    rec(0)
+    if forms is None:
+        rec(0)
+        return
+
+    # Each face form is decided where its last live cell is assigned.  A form
+    # whose cells are all forced is 0 everywhere: the whole polytope counts.
+    forms_at: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [[] for _ in range(n_free)]
+    for lhs, rhs in forms:
+        live = [order_pos[t] for t in lhs + rhs if not forced[t]]
+        if not live:
+            rec(0)
+            return
+        forms_at[max(live)].append((lhs, rhs))
+    last = max((pos for pos, decided in enumerate(forms_at) if decided), default=-1)
+    get = entries.__getitem__
+
+    def front(pos: int) -> None:
+        # ``rec`` plus the face forms, kept apart so that plain searches do
+        # not pay for them.  A form at 0 puts the subtree on the union and
+        # hands it to ``rec``; a branch past ``last`` with every form
+        # nonzero holds no point of the union.
+        idx = free_cells[pos]
+        i, j, k = row_of[idx], col_of[idx], lev_of[idx]
+        ub = min(row_rem[i], col_rem[j], lev_rem[k])
+        finals = unit_last[pos]
+        if finals:
+            need = rems[finals[0][0]][finals[0][1]]
+            if need > ub or any(rems[axis][unit] != need for axis, unit in finals[1:]):
+                return
+            values = (need,)
+        else:
+            values = range(ub + 1)
+        for v in values:
+            entries[idx] = v
+            row_rem[i] -= v
+            col_rem[j] -= v
+            lev_rem[k] -= v
+            if all(sum(map(get, lhs)) >= sum(map(get, rhs)) for lhs, rhs in checks_at[pos]):
+                if any(sum(map(get, lhs)) == sum(map(get, rhs)) for lhs, rhs in forms_at[pos]):
+                    rec(pos + 1)
+                elif pos < last:
+                    front(pos + 1)
+            row_rem[i] += v
+            col_rem[j] += v
+            lev_rem[k] += v
+        entries[idx] = 0
+
+    if last >= 0:
+        front(0)
 
 
 def _tensor_from_flat(entries: Sequence[Number], p: int, q: int, r: int) -> Tensor3:
@@ -449,24 +529,37 @@ def _tensor_from_flat(entries: Sequence[Number], p: int, q: int, r: int) -> Tens
     return Tensor3(tuple(levels))
 
 
-def count_points(system: CRSystem, face: FacePredicate | None = None) -> int:
-    """Number of integer points of the system (optionally inside a face union)."""
+# Face-union counts by value, (lam, mu, tau, face) -> count.
+_face_counts: dict[tuple, int] = {}
+
+
+def _count(system: CRSystem, forms: tuple | None = None) -> int:
     count = 0
+
+    def bump(_entries):
+        nonlocal count
+        count += 1
+
+    _search(system, bump, forms)
+    return count
+
+
+def count_points(system: CRSystem, face: FacePredicate | None = None) -> int:
+    """Number of integer points of the system (optionally inside a face union).
+
+    A face union is counted inside the search: each face becomes a linear
+    form (``_face_forms``), and a subtree is counted whole as soon as one
+    form is 0 on it.  Face counts are memoized on (lam, mu, tau, face).
+    """
     if face is None:
-
-        def bump(_entries):
-            nonlocal count
-            count += 1
-
-    else:
-        p, q, r = system.dims
-
-        def bump(entries):
-            nonlocal count
-            if face_contains(_tensor_from_flat(entries, p, q, r), face):
-                count += 1
-
-    _search(system, bump)
+        return _count(system)
+    if system.transport_only:
+        raise ValueError(f"face counts need a column-row system, not {system!r}")
+    forms = _face_forms(face, *system.dims)
+    key = (system.lam, system.mu, system.tau, face)
+    count = _face_counts.get(key)
+    if count is None:
+        count = _face_counts[key] = _count(system, forms)
     return count
 
 
@@ -480,17 +573,7 @@ def enumerate_points(system: CRSystem) -> tuple[Tensor3, ...]:
 
 def face_hit_counts(system: CRSystem, union: FaceUnion) -> tuple[int, ...]:
     """Diagnostic: per-face point counts over a union (faces may overlap)."""
-    p, q, r = system.dims
-    hits = [0] * len(union.faces)
-
-    def tally(entries):
-        tensor = _tensor_from_flat(entries, p, q, r)
-        for pos, member in enumerate(union.faces):
-            if face_contains(tensor, member):
-                hits[pos] += 1
-
-    _search(system, tally)
-    return tuple(hits)
+    return tuple(count_points(system, member) for member in union.faces)
 
 
 # --- level-1 structure and the named inequalities --------------------------
@@ -515,52 +598,66 @@ def diag_values(tensor: Tensor3) -> tuple[Number, ...]:
     return tuple(level1[0][d] for d in range(p))
 
 
-def _col_prefix(tensor: Tensor3, j: int, t: int) -> Number:
-    """S^c_{j,t}: first t entries of column j of the reduced stack, bottom up."""
+def _col_prefix_cells(j: int, t: int, p: int) -> list[tuple[int, int, int]]:
+    """Cells of S^c_{j,t}: first t entries of column j of the reduced stack, bottom up."""
     if t == 0:
-        return 0
-    p, q, r = tensor.dims
+        return []
     c, d = divmod(t - 1, p)
-    d += 1
-    total = sum(tensor.entry(i, j, k + 1) for k in range(1, c + 1) for i in range(1, p + 1))
-    total += sum(tensor.entry(i, j, c + 2) for i in range(p + 1 - d, p + 1))
-    return total
+    cells = [(i, j, k + 1) for k in range(1, c + 1) for i in range(1, p + 1)]
+    return cells + [(i, j, c + 2) for i in range(p - d, p + 1)]
 
 
-def _row_prefix(tensor: Tensor3, i: int, s: int) -> Number:
-    """S^r_{i,s}: first s entries of row i of the reduced concatenation."""
+def _row_prefix_cells(i: int, s: int, q: int) -> list[tuple[int, int, int]]:
+    """Cells of S^r_{i,s}: first s entries of row i of the reduced concatenation."""
     if s == 0:
-        return 0
-    p, q, r = tensor.dims
+        return []
     e, f = divmod(s - 1, q)
-    f += 1
-    total = sum(tensor.entry(i, j, k + 1) for k in range(1, e + 1) for j in range(1, q + 1))
-    total += sum(tensor.entry(i, j, e + 2) for j in range(q + 1 - f, q + 1))
-    return total
+    cells = [(i, j, k + 1) for k in range(1, e + 1) for j in range(1, q + 1)]
+    return cells + [(i, j, e + 2) for j in range(q - f, q + 1)]
 
 
-def col_ineq_slack(tensor: Tensor3, j: int, t: int) -> Number:
-    """Slack of the column inequality C(j, t): x_j + S^c_{j,t-1} - S^c_{j+1,t}."""
-    p, q, r = tensor.dims
+def _check_col_ineq(j: int, t: int, p: int, q: int, r: int) -> None:
     if not 1 <= j <= p:
         raise ValueError(f"j = {j} out of range [1, {p}]")
     if j == p and p >= q:
         raise ValueError("C(p, t) is only defined when p < q")
     if not 1 <= t <= p * (r - 1):
         raise ValueError(f"t = {t} out of range [1, {p * (r - 1)}]")
+
+
+def _check_row_ineq(i: int, s: int, p: int, q: int, r: int) -> None:
+    if not 1 <= i <= p - 1:
+        raise ValueError(f"i = {i} out of range [1, {p - 1}]")
+    if not 1 <= s <= q * (r - 1):
+        raise ValueError(f"s = {s} out of range [1, {q * (r - 1)}]")
+
+
+def _cells_sum(tensor: Tensor3, cells: Iterable[tuple[int, int, int]]) -> Number:
+    return sum(tensor.entry(*cell) for cell in cells)
+
+
+def col_ineq_slack(tensor: Tensor3, j: int, t: int) -> Number:
+    """Slack of the column inequality C(j, t): x_j + S^c_{j,t-1} - S^c_{j+1,t}."""
+    p, q, r = tensor.dims
+    _check_col_ineq(j, t, p, q, r)
     x = diag_values(tensor)
-    return x[j - 1] + _col_prefix(tensor, j, t - 1) - _col_prefix(tensor, j + 1, t)
+    return (
+        x[j - 1]
+        + _cells_sum(tensor, _col_prefix_cells(j, t - 1, p))
+        - _cells_sum(tensor, _col_prefix_cells(j + 1, t, p))
+    )
 
 
 def row_ineq_slack(tensor: Tensor3, i: int, s: int) -> Number:
     """Slack of the row inequality R(i, s): x_i + S^r_{i,s-1} - S^r_{i+1,s}."""
     p, q, r = tensor.dims
-    if not 1 <= i <= p - 1:
-        raise ValueError(f"i = {i} out of range [1, {p - 1}]")
-    if not 1 <= s <= q * (r - 1):
-        raise ValueError(f"s = {s} out of range [1, {q * (r - 1)}]")
+    _check_row_ineq(i, s, p, q, r)
     x = diag_values(tensor)
-    return x[i - 1] + _row_prefix(tensor, i, s - 1) - _row_prefix(tensor, i + 1, s)
+    return (
+        x[i - 1]
+        + _cells_sum(tensor, _row_prefix_cells(i, s - 1, q))
+        - _cells_sum(tensor, _row_prefix_cells(i + 1, s, q))
+    )
 
 
 # --- cone dimension, hypercube samples, affine rank ------------------------

@@ -1,5 +1,6 @@
 import json
 
+from crkron import kronecker
 from crkron.cli import main
 
 
@@ -33,6 +34,32 @@ def test_g_json_faces_schema(capsys):
     assert payload["value"] == 1
     for term in payload["terms"]:
         assert set(term) == {"sign", "tau", "tauBar", "countPlus", "countMinus"}
+
+
+def test_g_json_faces_terms_pinned(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "g", "--lambda", "4,3,2,1", "--mu", "4,3,2,1", "--nu", "4,3,2,1",
+        "--method", "faces", "--json",
+    )
+    assert code == 0
+    assert out == (
+        '{"method": "faces", "terms": ['
+        '{"countMinus": 92, "countPlus": 1504, "sign": 1, "tau": [2, 1, 4, 3], "tauBar": [3, 0, 4, 3]}, '
+        '{"countMinus": 68, "countPlus": 928, "sign": -1, "tau": [4, 1, 4, 1], "tauBar": [5, 0, 4, 1]}, '
+        '{"countMinus": 58, "countPlus": 940, "sign": -1, "tau": [2, 1, 5, 2], "tauBar": [3, 0, 5, 2]}, '
+        '{"countMinus": 20, "countPlus": 422, "sign": 1, "tau": [6, 1, 2, 1], "tauBar": [7, 0, 2, 1]}, '
+        '{"countMinus": 14, "countPlus": 194, "sign": 1, "tau": [4, 1, 5], "tauBar": [5, 0, 5]}, '
+        '{"countMinus": 7, "countPlus": 142, "sign": -1, "tau": [6, 1, 3], "tauBar": [7, 0, 3]}'
+        '], "value": 117}\n'
+    )
+
+
+def test_broken_invariant_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(kronecker, "cr_count", lambda lam, mu, tau: 0 if len(tau) > 1 else 1)
+    code, out, err = run_cli(capsys, "g", "--lambda", "2,1", "--mu", "2,1", "--nu", "2,1")
+    assert code == 1 and out == ""
+    assert err.startswith("internal error: negative coefficient") and err.count("\n") == 1
 
 
 def test_lr_methods(capsys):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from crkron.characters import g_oracle, lr_oracle
@@ -17,12 +22,18 @@ from crkron.kronecker import (
 )
 from crkron.partitions import SizeMismatch, partitions_of
 from crkron.polytope import (
+    ColTight,
     CRSystem,
     DiagZero,
     EntryZero,
+    FaceUnion,
+    col_ineq_slack,
     count_points,
+    diag_values,
     enumerate_points,
+    face_hit_counts,
     is_member,
+    row_ineq_slack,
 )
 
 
@@ -220,6 +231,42 @@ def test_face_counts_match_shift_brute_force():
                             assert minus == brute_minus
 
 
+def _on_face(point, face) -> bool:
+    """Reference membership of a cone point in a face, from the named slacks."""
+    if isinstance(face, FaceUnion):
+        return any(_on_face(point, member) for member in face.faces)
+    if isinstance(face, DiagZero):
+        return diag_values(point)[face.index - 1] == 0
+    if isinstance(face, EntryZero):
+        return point.entry(face.index, face.index, 2) == 0
+    if isinstance(face, ColTight):
+        return col_ineq_slack(point, face.j, face.t) == 0
+    return row_ineq_slack(point, face.i, face.s) == 0
+
+
+def test_face_counts_match_slack_filter():
+    # the in-search union count against a filter over every enumerated point
+    normalized = set()
+    for n in range(2, 6):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                for nu in partitions_of(n):
+                    lam2, mu2, nu2, shortcut = normalize_triple(lam, mu, nu)
+                    if not shortcut:
+                        normalized.add((lam2, mu2, nu2))
+    for lam2, mu2, nu2 in sorted(normalized):
+        for term in jt_pair_expansion(nu2):
+            for tau, faces_of in ((term.tau, face_F_plus), (term.tau_bar, face_F_minus)):
+                system = CRSystem(lam2, mu2, tau)
+                points = enumerate_points(system)
+                for ell in range(1, len(lam2) + 1):
+                    union = faces_of(lam2, mu2, tau, ell)
+                    assert count_points(system, union) == sum(_on_face(x, union) for x in points)
+                    assert face_hit_counts(system, union) == tuple(
+                        sum(_on_face(x, face) for x in points) for face in union.faces
+                    )
+
+
 def test_per_term_cancellation_identity():
     for n in range(2, 5):
         for lam in partitions_of(n):
@@ -293,3 +340,41 @@ def test_threaded_evaluation_is_deterministic():
 def test_cr_count_reorder_invariant_memo():
     assert cr_count((2, 1), (2, 1), (1, 2)) == cr_count((2, 1), (2, 1), (2, 1))
     assert cr_count((2, 1), (2, 1), (2, 1, 0)) == cr_count((2, 1), (2, 1), (2, 1))
+
+
+def test_invariant_violations_raise_under_optimize():
+    # the checks must not be asserts, which python -O strips
+    script = textwrap.dedent(
+        """
+        import sys
+        from crkron import cli, kronecker
+        from crkron.partitions import InvariantViolation
+
+        def raises(fn):
+            try:
+                fn()
+            except InvariantViolation:
+                return True
+            return False
+
+        print(sys.flags.optimize)
+        kronecker.cr_count = lambda lam, mu, tau: 0 if len(tau) > 1 else 1
+        print(raises(lambda: kronecker.kron_via_cr((2, 1), (2, 1), (2, 1))))
+        print(cli.main(["g", "--lambda", "2,1", "--mu", "2,1", "--nu", "2,1"]))
+        fake = [{"sign": 1, "countPlus": 0, "countMinus": 1}]
+        breakdown = kronecker.face_term_breakdown
+        kronecker.face_term_breakdown = lambda *args: fake
+        print(raises(lambda: kronecker.kron_via_faces((2, 1), (2, 1), (2, 1))))
+        kronecker.face_term_breakdown = breakdown
+        kronecker.jt_pair_expansion = lambda nu: (kronecker.JTPairTerm(1, 3, 0, ()),)
+        print(raises(lambda: kronecker.face_term_breakdown((2, 1), (2, 1), (2, 1))))
+        """
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "True", "1", "True", "True"]
+    assert proc.stderr.strip().startswith("internal error: negative coefficient -1")

@@ -4,9 +4,14 @@ from itertools import permutations
 
 import pytest
 
+from crkron import polytope
 from crkron.partitions import SizeMismatch, partitions_of
 from crkron.polytope import (
+    ColTight,
     CRSystem,
+    DiagZero,
+    EntryZero,
+    FaceUnion,
     NotDiagConstant,
     Tensor3,
     affine_rank,
@@ -16,6 +21,7 @@ from crkron.polytope import (
     count_points,
     diag_values,
     enumerate_points,
+    face_hit_counts,
     free_cone_coordinates,
     hypercube_interval,
     hypercube_sample,
@@ -167,6 +173,33 @@ def test_zero_level_is_transparent():
     base = count_points(CRSystem((2, 1), (2, 1), (2, 1)))
     assert count_points(CRSystem((2, 1), (2, 1), (2, 0, 1))) == base
     assert count_points(CRSystem((2, 1), (2, 1), (2, 1, 0))) == base
+
+
+def test_face_count_edge_cases():
+    system = CRSystem((2, 1), (2, 1), (2, 1))
+    p, q, _ = system.dims
+    full = count_points(system)
+    assert count_points(system, FaceUnion(())) == 0
+    # a form on forced cells only is 0 at every point
+    i, j, k = min(system.vanishing)
+    assert polytope._count(system, (((polytope._flat(i, j, k, p, q),), ()),)) == full
+    with pytest.raises(ValueError):
+        count_points(system, EntryZero(3))
+    with pytest.raises(ValueError):
+        count_points(system, ColTight(2, 1))  # C(p, t) needs p < q
+    with pytest.raises(NotDiagConstant):
+        count_points(CRSystem((1, 1, 1), (2, 1), (2, 1)), DiagZero(1))
+    with pytest.raises(TypeError):
+        count_points(system, (1, 1))
+
+
+def test_face_counts_need_column_row_system():
+    transport = CRSystem((2, 1), (2, 1), (2, 1), transport_only=True)
+    for face in (DiagZero(1), EntryZero(1), FaceUnion((DiagZero(1), EntryZero(1)))):
+        with pytest.raises(ValueError):
+            count_points(transport, face)
+    with pytest.raises(ValueError):
+        face_hit_counts(transport, FaceUnion((DiagZero(1),)))
 
 
 def test_diag_values():
