@@ -14,6 +14,7 @@ from math import comb, factorial
 
 from .partitions import (
     Composition,
+    InvariantViolation,
     Partition,
     SizeMismatch,
     partitions_of,
@@ -116,6 +117,14 @@ def perm_character_value(tau: Composition, rho: Partition) -> int:
     return _phi_value(cycles, tuple(tau))
 
 
+def _inner_product(total: int, n: int) -> int:
+    """``total / n!``, which is an integer for any inner product of characters."""
+    value, remainder = divmod(total, factorial(n))
+    if remainder:
+        raise InvariantViolation(f"character inner product {total}/{n}! is not an integer")
+    return value
+
+
 def g_oracle(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Kronecker coefficient via the class-sum inner product of characters."""
     n = sum(lam)
@@ -129,9 +138,7 @@ def g_oracle(lam: Partition, mu: Partition, nu: Partition) -> int:
             * character_value(mu, rho)
             * character_value(nu, rho)
         )
-    value, remainder = divmod(total, factorial(n))
-    assert remainder == 0, "character inner product must be an integer"
-    return value
+    return _inner_product(total, n)
 
 
 def lr_oracle(lam: Partition, mu: Partition, tau: Composition) -> int:
@@ -148,6 +155,4 @@ def lr_oracle(lam: Partition, mu: Partition, tau: Composition) -> int:
             * character_value(mu, rho)
             * perm_character_value(key, rho)
         )
-    value, remainder = divmod(total, factorial(n))
-    assert remainder == 0, "character inner product must be an integer"
-    return value
+    return _inner_product(total, n)

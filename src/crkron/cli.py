@@ -2,8 +2,10 @@
 
 Plain decimal output on a single line by default; ``--json`` switches to
 structured output.  Exit codes: 0 success, 1 internal failure (a broken
-invariant or assertion), 2 invalid input; failures print a one-line
-diagnostic on stderr.
+invariant or assertion), 2 invalid input or an input too deep for the
+recursive search; failures print a one-line diagnostic on stderr.  The
+global ``--threads`` option is accepted for compatibility and has no effect:
+every command runs serially.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import sys
 
 from .characters import g_oracle, lr_oracle
 from .kronecker import (
-    _map_ordered,
     cr_count,
     face_term_breakdown,
     jt_expansion,
@@ -30,7 +31,7 @@ from .tableaux import count_lr_pairs, theorem41_map
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="crkron")
-    parser.add_argument("--threads", type=int, default=1, help="cap on internal parallelism")
+    parser.add_argument("--threads", type=int, default=1, help="has no effect")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("g", help="Kronecker coefficient g(lambda, mu, nu)")
@@ -84,14 +85,10 @@ def _cmd_g(args) -> int:
         value = g_oracle(lam, mu, nu)
         terms = None
     elif args.method == "faces":
-        value = kron_via_faces(lam, mu, nu, args.ell, threads=args.threads)
-        terms = (
-            face_term_breakdown(lam, mu, nu, args.ell, threads=args.threads)
-            if args.json
-            else None
-        )
+        value = kron_via_faces(lam, mu, nu, args.ell)
+        terms = face_term_breakdown(lam, mu, nu, args.ell) if args.json else None
     else:
-        value = kron_via_cr(lam, mu, nu, threads=args.threads)
+        value = kron_via_cr(lam, mu, nu)
         terms = None
         if args.json:
             lam2, mu2, nu2, shortcut = normalize_triple(lam, mu, nu)
@@ -195,21 +192,11 @@ def _cmd_selfcheck(args) -> int:
     for n in range(2, args.n + 1):
         parts = partitions_of(n)
         triples = [(lam, mu, nu) for lam in parts for mu in parts for nu in parts]
-
-        def check(triple):
-            lam, mu, nu = triple
-            return (
-                kron_via_cr(lam, mu, nu),
-                kron_via_faces(lam, mu, nu, 1),
-                g_oracle(lam, mu, nu),
-            )
-
-        results = _map_ordered(check, triples, args.threads)
-        bad = [
-            (triple, values)
-            for triple, values in zip(triples, results)
-            if len(set(values)) != 1
-        ]
+        bad = []
+        for triple in triples:
+            values = (kron_via_cr(*triple), kron_via_faces(*triple, 1), g_oracle(*triple))
+            if len(set(values)) != 1:
+                bad.append((triple, values))
         for (lam, mu, nu), (via_cr, via_faces, oracle) in bad:
             print(
                 f"MISMATCH g{lam, mu, nu}: polytopes={via_cr} faces={via_faces} oracle={oracle}"
@@ -239,6 +226,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError as exc:
+        print(f"error: input too deep ({exc})", file=sys.stderr)
         return 2
     except (InvariantViolation, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)

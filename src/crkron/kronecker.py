@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 from .partitions import (
     Composition,
@@ -32,19 +32,6 @@ from .polytope import (
     Tensor3,
     count_points,
 )
-
-T = TypeVar("T")
-
-
-def _map_ordered(fn: Callable[[T], object], items: Sequence[T], threads: int = 1) -> list:
-    """Apply ``fn`` preserving order; results are identical for any thread count."""
-    if threads and threads > 1 and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
 
 @dataclass(frozen=True)
 class JTTerm:
@@ -187,14 +174,12 @@ def _nonnegative(total: int, lam: Partition, mu: Partition, nu: Partition) -> in
     return total
 
 
-def kron_via_cr(lam: Partition, mu: Partition, nu: Partition, threads: int = 1) -> int:
+def kron_via_cr(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Kronecker coefficient as a signed sum of whole-polytope point counts."""
     lam2, mu2, nu2, shortcut = normalize_triple(lam, mu, nu)
     if shortcut:
         return _shortcut_value(lam2, mu2, nu2)
-    terms = jt_expansion(nu2)
-    counts = _map_ordered(lambda term: cr_count(lam2, mu2, term.gamma), terms, threads)
-    total = sum(term.sign * cnt for term, cnt in zip(terms, counts))
+    total = sum(term.sign * cr_count(lam2, mu2, term.gamma) for term in jt_expansion(nu2))
     return _nonnegative(total, lam, mu, nu)
 
 
@@ -255,47 +240,39 @@ def face_F_minus(lam: Partition, mu: Partition, tau_bar: Composition, ell: int) 
     return FaceUnion(tuple(faces))
 
 
-def face_term_breakdown(
-    lam: Partition, mu: Partition, nu: Partition, ell: int = 1, threads: int = 1
-) -> list[dict]:
+def face_term_breakdown(lam: Partition, mu: Partition, nu: Partition, ell: int = 1) -> list[dict]:
     """Per-term audit of the face formula after normalizing the triple."""
     lam2, mu2, nu2, shortcut = normalize_triple(lam, mu, nu)
     if not 1 <= ell <= len(lam2):
         raise ValueError(f"ell = {ell} out of range [1, {len(lam2)}]")
     if shortcut:
         return []
-    terms = jt_pair_expansion(nu2)
-
-    def run(term: JTPairTerm) -> tuple[int, int]:
+    breakdown = []
+    for term in jt_pair_expansion(nu2):
         if term.b < 1:
             raise InvariantViolation(f"pair term {term} has b < 1; a partition never gives one")
         tau, tau_bar = term.tau, term.tau_bar
-        plus = count_points(CRSystem(lam2, mu2, tau), face_F_plus(lam2, mu2, tau, ell))
-        minus = count_points(
-            CRSystem(lam2, mu2, tau_bar), face_F_minus(lam2, mu2, tau_bar, ell)
+        breakdown.append(
+            {
+                "sign": term.sign,
+                "tau": list(tau),
+                "tauBar": list(tau_bar),
+                "countPlus": count_points(CRSystem(lam2, mu2, tau), face_F_plus(lam2, mu2, tau, ell)),
+                "countMinus": count_points(
+                    CRSystem(lam2, mu2, tau_bar), face_F_minus(lam2, mu2, tau_bar, ell)
+                ),
+            }
         )
-        return plus, minus
-
-    counts = _map_ordered(run, terms, threads)
-    return [
-        {
-            "sign": term.sign,
-            "tau": list(term.tau),
-            "tauBar": list(term.tau_bar),
-            "countPlus": plus,
-            "countMinus": minus,
-        }
-        for term, (plus, minus) in zip(terms, counts)
-    ]
+    return breakdown
 
 
-def kron_via_faces(lam: Partition, mu: Partition, nu: Partition, ell: int = 1, threads: int = 1) -> int:
+def kron_via_faces(lam: Partition, mu: Partition, nu: Partition, ell: int = 1) -> int:
     """Kronecker coefficient from face counts alone (must match kron_via_cr)."""
     lam2, mu2, nu2, shortcut = normalize_triple(lam, mu, nu)
     if not 1 <= ell <= max(len(lam2), 1):
         raise ValueError(f"ell = {ell} out of range [1, {len(lam2)}]")
     if shortcut:
         return _shortcut_value(lam2, mu2, nu2)
-    breakdown = face_term_breakdown(lam, mu, nu, ell, threads)
+    breakdown = face_term_breakdown(lam, mu, nu, ell)
     total = sum(item["sign"] * (item["countPlus"] - item["countMinus"]) for item in breakdown)
     return _nonnegative(total, lam, mu, nu)

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .partitions import Composition, Partition, SizeMismatch, partition
 
@@ -188,47 +188,61 @@ def _row_cell(row: int, col: int, p: int, q: int, r: int) -> tuple[int, int, int
     return row, j, k
 
 
+def _canonicity(a: int, b: int):
+    """The main lemma's canonicity conditions on an a x b matrix, over cells.
+
+    Returns ``(staircase, checks)``: the cells (i, j) with i + j > a + 1
+    vanish, and check ``((j, i), lhs, rhs)`` asks that rows i .. a+1-j of
+    column j sum to at least rows i-1 .. a-j of column j+1.
+    """
+    staircase = tuple((i, j) for i in range(1, a + 1) for j in range(1, b + 1) if i + j > a + 1)
+    checks = tuple(
+        (
+            (j, i),
+            tuple((row, j) for row in range(i, a + 2 - j)),
+            tuple((row, j + 1) for row in range(i - 1, a + 1 - j)),
+        )
+        for j in range(1, min(a, b))
+        for i in range(2, a + 2 - j)
+    )
+    return staircase, checks
+
+
+class _Family(NamedTuple):
+    """One canonicity family over flat indices."""
+
+    vanishing: tuple[int, ...]
+    labels: tuple[tuple[int, int], ...]
+    checks: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+
+def _family(a: int, b: int, flat: Callable[[int, int], int]) -> _Family:
+    """``_canonicity(a, b)`` with each matrix cell mapped through ``flat``."""
+    staircase, checks = _canonicity(a, b)
+    return _Family(
+        tuple(flat(*cell) for cell in staircase),
+        tuple(label for label, _, _ in checks),
+        tuple(
+            (tuple(flat(*cell) for cell in lhs), tuple(flat(*cell) for cell in rhs))
+            for _, lhs, rhs in checks
+        ),
+    )
+
+
 @lru_cache(maxsize=None)
-def _compile_constraints(p: int, q: int, r: int):
-    """Vanishing cells, check labels and prefix-sum checks of the (p, q, r)
-    column-row cone: ``(vanishing, col_labels, row_labels, checks)``."""
-    vanishing = set()
-    for k in range(1, r + 1):
-        bound = min(k * p, k * q) + 1
-        for i in range(1, p + 1):
-            for j in range(1, q + 1):
-                if i + j > bound:
-                    vanishing.add((i, j, k))
-
-    col_checks = []
-    m = min(p * r, q)
-    for j in range(1, m):
-        for i in range(2, p * r + 1 - j + 1):
-            lhs = tuple(
-                _flat(*_col_cell(row, j, p, q, r), p, q) for row in range(i, p * r + 1 - j + 1)
-            )
-            rhs = tuple(
-                _flat(*_col_cell(row, j + 1, p, q, r), p, q) for row in range(i - 1, p * r - j + 1)
-            )
-            col_checks.append(((j, i), lhs, rhs))
-
-    row_checks = []
-    m = min(p, q * r)
-    for i in range(1, m):
-        for j in range(2, q * r + 1 - i + 1):
-            lhs = tuple(
-                _flat(*_row_cell(i, col, p, q, r), p, q) for col in range(j, q * r + 1 - i + 1)
-            )
-            rhs = tuple(
-                _flat(*_row_cell(i + 1, col, p, q, r), p, q) for col in range(j - 1, q * r - i + 1)
-            )
-            row_checks.append(((i, j), lhs, rhs))
-
+def _compile_constraints(p: int, q: int, r: int) -> tuple[_Family, _Family]:
+    """Column and row families of the (p, q, r) column-row cone: canonicity
+    of the pr x q stack and of the transposed p x qr concatenation."""
     return (
-        frozenset(vanishing),
-        tuple(label for label, _, _ in col_checks),
-        tuple(label for label, _, _ in row_checks),
-        tuple((lhs, rhs) for _, lhs, rhs in col_checks + row_checks),
+        _family(p * r, q, lambda row, j: _flat(*_col_cell(row, j, p, q, r), p, q)),
+        _family(q * r, p, lambda col, i: _flat(*_row_cell(i, col, p, q, r), p, q)),
+    )
+
+
+def _holds(family: _Family, entries: Sequence[Number]) -> bool:
+    """The family's vanishing cells and checks, evaluated on flat entries."""
+    return all(entries[t] == 0 for t in family.vanishing) and all(
+        sum(entries[t] for t in lhs) >= sum(entries[t] for t in rhs) for lhs, rhs in family.checks
     )
 
 
@@ -295,12 +309,16 @@ class CRSystem:
         self.q = len(self.mu)
         self.r = len(self.tau)
         self.transport_only = bool(transport_only)
-        (
-            self.vanishing,
-            self.column_inequalities,
-            self.row_inequalities,
-            self._checks,
-        ) = _compile_constraints(self.p, self.q, self.r)
+        self._families = _compile_constraints(self.p, self.q, self.r)
+        self.column_inequalities = self._families[0].labels
+        self.row_inequalities = self._families[1].labels
+
+    @property
+    def vanishing(self) -> frozenset[tuple[int, int, int]]:
+        """Cells (i, j, k) that either staircase forces to 0."""
+        p, q = self.p, self.q
+        flat = {t for family in self._families for t in family.vanishing}
+        return frozenset((t // q % p + 1, t % q + 1, t // (p * q) + 1) for t in flat)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -328,12 +346,8 @@ def _flat_entries(tensor: Tensor3) -> list[Number]:
 
 
 def _cone_conditions_hold(tensor: Tensor3) -> bool:
-    p, q, r = tensor.dims
-    vanishing, _, _, checks = _compile_constraints(p, q, r)
     entries = _flat_entries(tensor)
-    if any(entries[_flat(i, j, k, p, q)] != 0 for (i, j, k) in vanishing):
-        return False
-    return all(sum(entries[t] for t in lhs) >= sum(entries[t] for t in rhs) for lhs, rhs in checks)
+    return all(_holds(family, entries) for family in _compile_constraints(*tensor.dims))
 
 
 def in_cone(tensor: Tensor3) -> bool:
@@ -354,18 +368,6 @@ def is_member(tensor: Tensor3, system: CRSystem) -> bool:
     return _cone_conditions_hold(tensor)
 
 
-def marginals(tensor: Tensor3):
-    return tensor.marginals()
-
-
-def flatten_col(tensor: Tensor3):
-    return tensor.flatten_col()
-
-
-def flatten_row(tensor: Tensor3):
-    return tensor.flatten_row()
-
-
 # --- exhaustive search -----------------------------------------------------
 
 
@@ -379,10 +381,11 @@ def _search(
     """
     p, q, r = system.dims
     total_cells = p * q * r
+    families = () if system.transport_only else system._families
     forced = [False] * total_cells
-    if not system.transport_only:
-        for (i, j, k) in system.vanishing:
-            forced[_flat(i, j, k, p, q)] = True
+    for family in families:
+        for t in family.vanishing:
+            forced[t] = True
 
     row_of = [0] * total_cells
     col_of = [0] * total_cells
@@ -414,8 +417,8 @@ def _search(
     checks_at: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [
         [] for _ in range(len(free_cells))
     ]
-    if not system.transport_only:
-        for lhs, rhs in system._checks:
+    for family in families:
+        for lhs, rhs in family.checks:
             live = [order_pos[t] for t in lhs + rhs if not forced[t]]
             if live:
                 checks_at[max(live)].append((lhs, rhs))

@@ -16,11 +16,12 @@ from typing import Iterable, Sequence
 
 from .partitions import (
     Composition,
+    InvariantViolation,
     Partition,
     SizeMismatch,
     partition,
 )
-from .polytope import Tensor3
+from .polytope import Tensor3, _compile_constraints, _holds
 
 Word = tuple[int, ...]
 Matrix = Sequence[Sequence[int]]
@@ -144,7 +145,8 @@ def _column_insert(rows: list[list[int]], x: int) -> tuple[int, int]:
         if bumped is None:
             if r == len(rows):
                 rows.append([])
-            assert len(rows[r]) == c, "column insertion landed off-shape"
+            if len(rows[r]) != c:
+                raise InvariantViolation(f"column insertion of {x} landed off-shape at ({r}, {c})")
             rows[r].append(x)
             return r, c
         x = bumped
@@ -197,37 +199,17 @@ def rsk(matrix: Matrix) -> tuple[SkewTableau, SkewTableau]:
     return straight_tableau(p_rows), straight_tableau(q_rows)
 
 
-def _transpose(matrix: Matrix) -> tuple[tuple[int, ...], ...]:
-    rows = [tuple(row) for row in matrix]
-    return tuple(zip(*rows)) if rows else ()
-
-
-def _p_canonical_conditions(matrix: Matrix) -> bool:
-    """Inequality form of "the insertion tableau of the matrix is canonical"."""
-    b = [list(row) for row in matrix]
-    p = len(b)
-    q = len(b[0]) if p else 0
-    m = min(p, q)
-    for i in range(1, p + 1):
-        for j in range(1, q + 1):
-            if i + j > p + 1 and b[i - 1][j - 1] != 0:
-                return False
-    for j in range(1, m):
-        for i in range(2, p + 1 - j + 1):
-            lhs = sum(b[k - 1][j - 1] for k in range(i, p + 1 - j + 1))
-            rhs = sum(b[k - 1][j] for k in range(i - 1, p - j + 1))
-            if lhs < rhs:
-                return False
-    return True
-
-
 def main_lemma_conditions(matrix: Matrix) -> tuple[bool, bool]:
     """(P canonical?, Q canonical?) for RSK(matrix), read off linear inequalities.
 
-    Evaluated directly from the two inequality families, never through RSK;
-    the recording side is the insertion side of the transpose.
+    Evaluated directly from the column and row canonicity families of the
+    one-level column-row cone, never through RSK; the recording side is the
+    insertion side of the transpose.
     """
-    return _p_canonical_conditions(matrix), _p_canonical_conditions(_transpose(matrix))
+    rows = [tuple(row) for row in matrix]
+    entries = [x for row in rows for x in row]
+    col_family, row_family = _compile_constraints(len(rows), len(rows[0]) if rows else 0, 1)
+    return _holds(col_family, entries), _holds(row_family, entries)
 
 
 # --- the tensor <-> (Q, P, (T, S)) correspondence ---------------------------

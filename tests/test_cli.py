@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 from crkron import kronecker
 from crkron.cli import main
@@ -140,6 +143,22 @@ def test_invalid_input_exits_2(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "dim", "--p", "3", "--q", "7", "--r", "2")
     assert code == 2
+
+
+def test_deep_input_exits_2_without_traceback():
+    # (2^20) for all three partitions recurses deeper than the interpreter allows
+    deep = ",".join(["2"] * 20)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "crkron.cli", "count", "--lambda", deep, "--mu", deep, "--tau", deep],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_selfcheck_deterministic_across_threads(capsys):
