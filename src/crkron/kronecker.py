@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
-from typing import Sequence
 
 from .partitions import (
     Composition,
@@ -63,11 +61,33 @@ class JTPairTerm:
         return (self.a + 1, self.b - 1) + self.rho
 
 
-def _parity(sigma: Sequence[int]) -> int:
-    inversions = sum(
-        1 for i in range(len(sigma)) for j in range(i + 1, len(sigma)) if sigma[i] > sigma[j]
-    )
-    return -1 if inversions % 2 else 1
+def _cofactor_paths(nu: Partition, depth: int, by_column: bool):
+    """Signed branches of the cofactor expansion of det(h_{nu_i - i + j}).
+
+    Step s = 1 .. depth takes row s and picks one of the remaining columns
+    (with ``by_column``: takes column s and picks a remaining row), in
+    increasing order; the entry is h of nu_i - i + j, and a branch is cut as
+    soon as a subscript is negative.  Yields ``(sign, subscripts, rest)``
+    with the indices left unpicked.  At full depth the branches are the
+    permutations with no negative subscript, in lexicographic order.
+    """
+
+    def walk(step: int, rest: tuple[int, ...], sign: int, picks: tuple[int, ...]):
+        if step > depth:
+            yield sign, picks, rest
+            return
+        for pos, pick in enumerate(rest):
+            i, j = (pick, step) if by_column else (step, pick)
+            subscript = nu[i - 1] - i + j
+            if subscript >= 0:
+                yield from walk(
+                    step + 1,
+                    rest[:pos] + rest[pos + 1 :],
+                    -sign if pos % 2 else sign,
+                    picks + (subscript,),
+                )
+
+    return walk(1, tuple(range(1, len(nu) + 1)), 1, ())
 
 
 def jt_expansion(nu: Partition) -> tuple[JTTerm, ...]:
@@ -84,14 +104,10 @@ def jt_expansion(nu: Partition) -> tuple[JTTerm, ...]:
 
 @lru_cache(maxsize=None)
 def _jt_expansion_cached(nu: Partition) -> tuple[JTTerm, ...]:
-    r = len(nu)
-    terms: list[JTTerm] = []
-    for sigma in permutations(range(1, r + 1)):
-        gamma = [nu[i] - (i + 1) + sigma[i] for i in range(r)]
-        if any(g < 0 for g in gamma):
-            continue
-        terms.append(JTTerm(_parity(sigma), tuple(g for g in gamma if g > 0)))
-    return tuple(terms)
+    return tuple(
+        JTTerm(sign, tuple(g for g in gamma if g > 0))
+        for sign, gamma, _ in _cofactor_paths(nu, len(nu), by_column=False)
+    )
 
 
 def jt_pair_expansion(nu: Partition) -> tuple[JTPairTerm, ...]:
@@ -112,27 +128,11 @@ def jt_pair_expansion(nu: Partition) -> tuple[JTPairTerm, ...]:
 def _jt_pair_expansion_cached(nu: Partition) -> tuple[JTPairTerm, ...]:
     r = len(nu)
     terms: list[JTPairTerm] = []
-
-    def expand(rows: tuple[int, ...], col: int, sign: int, picks: tuple[int, ...]) -> None:
-        if col == r - 1:
-            i1, i2 = rows
-            a = nu[i1 - 1] - i1 + (r - 1)
-            b = nu[i2 - 1] - i2 + r
-            rho = tuple(sorted((x for x in picks if x > 0), reverse=True))
-            terms.append(JTPairTerm(sign, a, b, rho))
-            return
-        for pos, row in enumerate(rows):
-            subscript = nu[row - 1] - row + col
-            if subscript < 0:
-                continue
-            expand(
-                rows[:pos] + rows[pos + 1 :],
-                col + 1,
-                sign * (-1) ** pos,
-                picks + (subscript,),
-            )
-
-    expand(tuple(range(1, r + 1)), 1, 1, ())
+    for sign, picks, (i1, i2) in _cofactor_paths(nu, r - 2, by_column=True):
+        a = nu[i1 - 1] - i1 + (r - 1)
+        b = nu[i2 - 1] - i2 + r
+        rho = tuple(sorted((x for x in picks if x > 0), reverse=True))
+        terms.append(JTPairTerm(sign, a, b, rho))
     return tuple(terms)
 
 

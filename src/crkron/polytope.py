@@ -12,11 +12,25 @@ as its last referenced entry has been assigned.  A union of faces is counted
 in the same search, with each face compiled to a linear form that is 0
 exactly on it.  No floating point anywhere; rational data uses
 ``fractions.Fraction``.
+
+The search is exact but does not visit every point when it only counts.
+At the first free cell of each level it looks up its state: the position,
+the row and column residuals, the residuals of this and later levels, and
+the partial sums of the checks (and face forms) with free cells on both
+sides of that cut.  Equal states have equal subtrees, so each is counted
+once per search.  For the column-row families every straddling check is a
+whole row or column of the assigned levels on each side, so the residuals
+alone make the key.  The set-up that depends on the shape only (free
+cells, unit completions, checks by closing position, cuts) is built once
+per (p, q, r) and kept (``_plan``); the memo lives for one search.
+Enumeration runs the same recursion with the memo off.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -371,83 +385,212 @@ def is_member(tensor: Tensor3, system: CRSystem) -> bool:
 # --- exhaustive search -----------------------------------------------------
 
 
+class _Plan(NamedTuple):
+    """Search set-up of one (p, q, r) shape: everything but the targets.
+
+    Free cells are searched in flat order.  ``cells`` holds the 0-based
+    (row, column, level) of each free position, ``pos_of`` the position of
+    each free flat index, ``idle`` the units (axis, index) with no free
+    cell, ``finals`` the units whose last free cell each position is,
+    ``checks_at`` the checks that close at each position, and ``cuts`` is
+    ``(level, parts)`` at the first free cell of every level after the
+    first (None elsewhere): ``parts`` are the assigned parts of the checks
+    that straddle it (see ``_straddling``).
+    """
+
+    free: tuple[int, ...]
+    cells: tuple[tuple[int, int, int], ...]
+    pos_of: dict[int, int]
+    idle: tuple[tuple[int, int], ...]
+    finals: tuple[tuple[tuple[int, int], ...], ...]
+    checks_at: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...]
+    cuts: tuple
+
+
+def _closing(pairs, plan_cells, pos_of: dict[int, int]) -> list:
+    """Each ``(lhs, rhs)`` with the first and last positions of its free
+    cells (None if it has none) and, per side, the sorted positions of its
+    free cells and the lines (0, row) or (1, column) that hold them all."""
+    unit_of = [[cell[axis] for cell in plan_cells] for axis in (0, 1)]
+    out = []
+    for lhs, rhs in pairs:
+        sides = []
+        for side in (lhs, rhs):
+            at = sorted([pos for pos in map(pos_of.get, side) if pos is not None])
+            lines = []
+            for axis in (0, 1):
+                units = set(map(unit_of[axis].__getitem__, at))
+                if len(units) == 1:
+                    lines.append((axis, *units))
+            sides.append((at, lines))
+        live = sides[0][0] + sides[1][0]
+        span = (min(live), max(live)) if live else (None, None)
+        out.append((lhs, rhs, *span, sides))
+    return out
+
+
+def _straddling(closing: list, pos_of: dict[int, int], cut: int, before: Counter) -> tuple:
+    """The parts before position ``cut`` of the pairs with free cells on
+    both sides of it: their sums are all the search needs of the past.
+
+    Each part is listed once, and left out where the residuals already fix
+    it: when each side is empty or a whole row or column of the cells
+    assigned before the cut (``before`` counts those per line).
+    """
+    parts = {}
+    for lhs, rhs, first, last, sides in closing:
+        if first is None or not first < cut <= last:
+            continue
+        for at, lines in sides:
+            n = bisect_left(at, cut)
+            if n and all(before[line] != n for line in lines):
+                past = (
+                    tuple(t for t in lhs if pos_of.get(t, cut) < cut),
+                    tuple(t for t in rhs if pos_of.get(t, cut) < cut),
+                )
+                parts[past] = None
+                break
+    return tuple(parts)
+
+
+def _before(plan_cells, cut: int) -> Counter:
+    """Free cells before position ``cut`` on each row (0, i) and column (1, j)."""
+    return Counter(line for i, j, _ in plan_cells[:cut] for line in ((0, i), (1, j)))
+
+
+@lru_cache(maxsize=None)
+def _plan(p: int, q: int, r: int, transport_only: bool) -> _Plan:
+    families = () if transport_only else _compile_constraints(p, q, r)
+    forced = {t for family in families for t in family.vanishing}
+    free = tuple(idx for idx in range(p * q * r) if idx not in forced)
+    pos_of = {idx: pos for pos, idx in enumerate(free)}
+    cells = tuple((idx // q % p, idx % q, idx // (p * q)) for idx in free)
+
+    finals: list[list[tuple[int, int]]] = [[] for _ in free]
+    idle = []
+    for axis, size in enumerate((p, q, r)):
+        last = {cell[axis]: pos for pos, cell in enumerate(cells)}
+        for unit in range(size):
+            if unit in last:
+                finals[last[unit]].append((axis, unit))
+            else:
+                idle.append((axis, unit))
+
+    closing = _closing([check for family in families for check in family.checks], cells, pos_of)
+    checks_at: list[list] = [[] for _ in free]
+    for lhs, rhs, _, last, _ in closing:
+        if last is not None:
+            checks_at[last].append((lhs, rhs))
+
+    cuts: list = [None] * len(free)
+    for level in range(1, r):
+        first = next((pos for pos, cell in enumerate(cells) if cell[2] >= level), None)
+        if first is not None and cuts[first] is None and first > 0:
+            cuts[first] = (level, _straddling(closing, pos_of, first, _before(cells, first)))
+    return _Plan(
+        free,
+        cells,
+        pos_of,
+        tuple(idle),
+        tuple(map(tuple, finals)),
+        tuple(map(tuple, checks_at)),
+        tuple(cuts),
+    )
+
+
+@lru_cache(maxsize=None)
+def _form_plan(forms: tuple, p: int, q: int, r: int, transport_only: bool):
+    """Face forms on a shape's plan: ``(forms_at, last, parts)``.
+
+    Each form is decided where its last free cell is assigned (``forms_at``;
+    ``last`` is the last such position), and ``parts`` holds, at each cut,
+    the parts of the undecided forms that straddle it.  None when a form has
+    no free cell: it is 0 everywhere, so the whole polytope counts.
+    """
+    plan = _plan(p, q, r, transport_only)
+    closing = _closing(forms, plan.cells, plan.pos_of)
+    if any(last is None for _, _, _, last, _ in closing):
+        return None
+    forms_at: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [[] for _ in plan.free]
+    for lhs, rhs, _, last, _ in closing:
+        forms_at[last].append((lhs, rhs))
+    last = max((pos for pos, decided in enumerate(forms_at) if decided), default=-1)
+    parts = tuple(
+        None if cut is None else _straddling(closing, plan.pos_of, pos, _before(plan.cells, pos))
+        for pos, cut in enumerate(plan.cuts)
+    )
+    return tuple(map(tuple, forms_at)), last, parts
+
+
 def _search(
-    system: CRSystem, on_solution: Callable[[list[int]], None], forms: tuple | None = None
-) -> None:
-    """Depth-first assignment of all integer points, lexicographic order.
+    system: CRSystem,
+    on_solution: Callable[[list[int]], None] | None = None,
+    forms: tuple | None = None,
+) -> int:
+    """Depth-first assignment of all integer points; returns their number.
 
     With ``forms`` (see ``_face_forms``) only the points on the union of
-    their faces reach ``on_solution``.
+    their faces count.  When counting, each subtree is counted once per
+    state at the first free cell of every level (see ``_Plan``): the
+    position, the row and column residuals, the residuals of this and later
+    levels and the partial sums of the checks (and, in the face search, the
+    undecided forms) that straddle the cut decide the rest of the search.
+    With ``on_solution`` the memo is off and every point reaches it, in
+    lexicographic order.
     """
     p, q, r = system.dims
-    total_cells = p * q * r
-    families = () if system.transport_only else system._families
-    forced = [False] * total_cells
-    for family in families:
-        for t in family.vanishing:
-            forced[t] = True
+    plan = _plan(p, q, r, system.transport_only)
+    targets = (system.lam, system.mu, system.tau)
+    if any(targets[axis][unit] for axis, unit in plan.idle):
+        return 0
+    free_cells, cells, unit_last, checks_at = plan.free, plan.cells, plan.finals, plan.checks_at
+    n_free = len(free_cells)
+    cuts = plan.cuts if on_solution is None else (None,) * n_free
+    memo: dict[tuple, int] = {}
 
-    row_of = [0] * total_cells
-    col_of = [0] * total_cells
-    lev_of = [0] * total_cells
-    for k in range(1, r + 1):
-        for i in range(1, p + 1):
-            for j in range(1, q + 1):
-                idx = _flat(i, j, k, p, q)
-                row_of[idx], col_of[idx], lev_of[idx] = i - 1, j - 1, k - 1
-
-    free_cells = [idx for idx in range(total_cells) if not forced[idx]]
-    order_pos = {idx: pos for pos, idx in enumerate(free_cells)}
-
-    # Units with every cell forced must have zero target.
-    unit_last: list[list[tuple[int, int]]] = [[] for _ in range(len(free_cells))]
-    for axis, (cells_of, target) in enumerate(
-        ((row_of, system.lam), (col_of, system.mu), (lev_of, system.tau))
-    ):
-        last = {}
-        for idx in free_cells:
-            last[cells_of[idx]] = idx
-        for unit in range(len(target)):
-            if unit not in last:
-                if target[unit] != 0:
-                    return
-            else:
-                unit_last[order_pos[last[unit]]].append((axis, unit))
-
-    checks_at: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [
-        [] for _ in range(len(free_cells))
-    ]
-    for family in families:
-        for lhs, rhs in family.checks:
-            live = [order_pos[t] for t in lhs + rhs if not forced[t]]
-            if live:
-                checks_at[max(live)].append((lhs, rhs))
-
-    entries = [0] * total_cells
+    entries = [0] * (p * q * r)
+    get = entries.__getitem__
     row_rem = list(system.lam)
     col_rem = list(system.mu)
     lev_rem = list(system.tau)
     rems = (row_rem, col_rem, lev_rem)
-    n_free = len(free_cells)
 
-    def rec(pos: int) -> None:
+    def state(pos: int, cut: tuple) -> tuple:
+        level, parts = cut
+        return (
+            pos,
+            *row_rem,
+            *col_rem,
+            *lev_rem[level:],
+            *[sum(map(get, lhs)) - sum(map(get, rhs)) for lhs, rhs in parts],
+        )
+
+    def rec(pos: int) -> int:
         if pos == n_free:
-            on_solution(entries)
-            return
-        idx = free_cells[pos]
-        i, j, k = row_of[idx], col_of[idx], lev_of[idx]
+            if on_solution is not None:
+                on_solution(entries)
+            return 1
+        cut = cuts[pos]
+        if cut is not None:
+            key = state(pos, cut)
+            found = memo.get(key)
+            if found is not None:
+                return found
+        i, j, k = cells[pos]
         ub = min(row_rem[i], col_rem[j], lev_rem[k])
         finals = unit_last[pos]
         if finals:
             need = rems[finals[0][0]][finals[0][1]]
             for axis, unit in finals[1:]:
                 if rems[axis][unit] != need:
-                    return
+                    return 0
             if need > ub:
-                return
+                return 0
             values = (need,)
         else:
             values = range(ub + 1)
+        idx = free_cells[pos]
+        total = 0
         for v in values:
             entries[idx] = v
             row_rem[i] -= v
@@ -465,44 +608,49 @@ def _search(
                     ok = False
                     break
             if ok:
-                rec(pos + 1)
+                total += rec(pos + 1)
             row_rem[i] += v
             col_rem[j] += v
             lev_rem[k] += v
         entries[idx] = 0
+        if cut is not None:
+            memo[key] = total
+        return total
 
     if forms is None:
-        rec(0)
-        return
+        return rec(0)
 
-    # Each face form is decided where its last live cell is assigned.  A form
-    # whose cells are all forced is 0 everywhere: the whole polytope counts.
-    forms_at: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [[] for _ in range(n_free)]
-    for lhs, rhs in forms:
-        live = [order_pos[t] for t in lhs + rhs if not forced[t]]
-        if not live:
-            rec(0)
-            return
-        forms_at[max(live)].append((lhs, rhs))
-    last = max((pos for pos, decided in enumerate(forms_at) if decided), default=-1)
-    get = entries.__getitem__
+    form_plan = _form_plan(forms, p, q, r, system.transport_only)
+    if form_plan is None:
+        return rec(0)
+    forms_at, last, form_parts = form_plan
+    front_memo: dict[tuple, int] = {}
 
-    def front(pos: int) -> None:
+    def front(pos: int) -> int:
         # ``rec`` plus the face forms, kept apart so that plain searches do
         # not pay for them.  A form at 0 puts the subtree on the union and
         # hands it to ``rec``; a branch past ``last`` with every form
         # nonzero holds no point of the union.
-        idx = free_cells[pos]
-        i, j, k = row_of[idx], col_of[idx], lev_of[idx]
+        cut = cuts[pos]
+        if cut is not None:
+            key = state(pos, cut) + tuple(
+                sum(map(get, lhs)) - sum(map(get, rhs)) for lhs, rhs in form_parts[pos]
+            )
+            found = front_memo.get(key)
+            if found is not None:
+                return found
+        i, j, k = cells[pos]
         ub = min(row_rem[i], col_rem[j], lev_rem[k])
         finals = unit_last[pos]
         if finals:
             need = rems[finals[0][0]][finals[0][1]]
             if need > ub or any(rems[axis][unit] != need for axis, unit in finals[1:]):
-                return
+                return 0
             values = (need,)
         else:
             values = range(ub + 1)
+        idx = free_cells[pos]
+        total = 0
         for v in values:
             entries[idx] = v
             row_rem[i] -= v
@@ -510,16 +658,18 @@ def _search(
             lev_rem[k] -= v
             if all(sum(map(get, lhs)) >= sum(map(get, rhs)) for lhs, rhs in checks_at[pos]):
                 if any(sum(map(get, lhs)) == sum(map(get, rhs)) for lhs, rhs in forms_at[pos]):
-                    rec(pos + 1)
+                    total += rec(pos + 1)
                 elif pos < last:
-                    front(pos + 1)
+                    total += front(pos + 1)
             row_rem[i] += v
             col_rem[j] += v
             lev_rem[k] += v
         entries[idx] = 0
+        if cut is not None:
+            front_memo[key] = total
+        return total
 
-    if last >= 0:
-        front(0)
+    return front(0) if last >= 0 else 0
 
 
 def _tensor_from_flat(entries: Sequence[Number], p: int, q: int, r: int) -> Tensor3:
@@ -536,17 +686,6 @@ def _tensor_from_flat(entries: Sequence[Number], p: int, q: int, r: int) -> Tens
 _face_counts: dict[tuple, int] = {}
 
 
-def _count(system: CRSystem, forms: tuple | None = None) -> int:
-    count = 0
-
-    def bump(_entries):
-        nonlocal count
-        count += 1
-
-    _search(system, bump, forms)
-    return count
-
-
 def count_points(system: CRSystem, face: FacePredicate | None = None) -> int:
     """Number of integer points of the system (optionally inside a face union).
 
@@ -555,14 +694,14 @@ def count_points(system: CRSystem, face: FacePredicate | None = None) -> int:
     form is 0 on it.  Face counts are memoized on (lam, mu, tau, face).
     """
     if face is None:
-        return _count(system)
+        return _search(system)
     if system.transport_only:
         raise ValueError(f"face counts need a column-row system, not {system!r}")
     forms = _face_forms(face, *system.dims)
     key = (system.lam, system.mu, system.tau, face)
     count = _face_counts.get(key)
     if count is None:
-        count = _face_counts[key] = _count(system, forms)
+        count = _face_counts[key] = _search(system, forms=forms)
     return count
 
 

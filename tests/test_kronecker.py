@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
+from itertools import combinations, permutations
 
 import pytest
 
@@ -43,6 +45,35 @@ def test_jt_expansion_examples():
     assert [(t.sign, t.gamma) for t in jt_expansion((1, 1))] == [(1, (1, 1)), (-1, (2,))]
     with pytest.raises(ValueError):
         jt_expansion(())
+
+
+def _permutation_expansion(nu):
+    """det(h_{nu_i - i + j}) summed over all permutations in itertools order."""
+    terms = []
+    for sigma in permutations(range(1, len(nu) + 1)):
+        gamma = [nu[i] - (i + 1) + sigma[i] for i in range(len(nu))]
+        if min(gamma) < 0:
+            continue
+        inversions = sum(a > b for a, b in combinations(sigma, 2))
+        terms.append((-1 if inversions % 2 else 1, tuple(g for g in gamma if g > 0)))
+    return terms
+
+
+def test_jt_expansion_matches_permutation_sum():
+    for n in range(1, 8):
+        for nu in partitions_of(n):
+            assert [(t.sign, t.gamma) for t in jt_expansion(nu)] == _permutation_expansion(nu)
+
+
+def test_jt_expansion_prunes_dead_branches():
+    # e_9 = sum over the 2^8 compositions a of 9 of (-1)^(9 - len(a)) h_a,
+    # out of 9! permutations
+    start = time.perf_counter()
+    terms = jt_expansion((1,) * 9)
+    assert time.perf_counter() - start < 1.0
+    assert len(terms) == 2**8
+    assert len({t.gamma for t in terms}) == 2**8
+    assert all(sum(t.gamma) == 9 and t.sign == (-1) ** (9 - len(t.gamma)) for t in terms)
 
 
 def test_jt_expansion_is_inverse_kostka_route():

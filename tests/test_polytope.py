@@ -144,6 +144,42 @@ def test_enumerate_matches_count_and_is_sorted():
                 assert all(is_member(point, system) for point in points)
 
 
+def _assert_count_is_enumeration(system):
+    points = enumerate_points(system)
+    assert count_points(system) == len(points), system
+    flats = [tuple(x for level in point.levels for row in level for x in row) for point in points]
+    assert all(a < b for a, b in zip(flats, flats[1:])), system
+
+
+def test_memoized_count_matches_enumeration_n5():
+    # counting memoizes at level boundaries, enumeration visits every point
+    # in order; a zero part puts an empty level beside a boundary.  Transport
+    # systems with a zero part stop at n = 4: at n = 5 they take about 25 s.
+    for n in range(1, 6):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                for tau in partitions_of(n):
+                    zeros = [tau[:at] + (0,) + tau[at:] for at in range(len(tau) + 1)]
+                    for levels in [tau] + zeros:
+                        _assert_count_is_enumeration(CRSystem(lam, mu, levels))
+                    for levels in [tau] + (zeros if n <= 4 else []):
+                        _assert_count_is_enumeration(CRSystem(lam, mu, levels, transport_only=True))
+
+
+def test_jt_term_counts_n18_pinned():
+    lam, mu = (8, 6, 4), (9, 6, 3)
+    expected = {
+        (6, 6, 6): 15588,
+        (6, 7, 5): 13905,
+        (7, 5, 6): 13905,
+        (7, 7, 4): 10776,
+        (8, 5, 5): 11286,
+        (8, 6, 4): 9805,
+    }
+    for tau, count in expected.items():
+        assert count_points(CRSystem(lam, mu, tau)) == count, tau
+
+
 def test_enumerate_against_transport_filter():
     for lam in partitions_of(4):
         for mu in partitions_of(4):
@@ -182,7 +218,7 @@ def test_face_count_edge_cases():
     assert count_points(system, FaceUnion(())) == 0
     # a form on forced cells only is 0 at every point
     i, j, k = min(system.vanishing)
-    assert polytope._count(system, (((polytope._flat(i, j, k, p, q),), ()),)) == full
+    assert polytope._search(system, forms=(((polytope._flat(i, j, k, p, q),), ()),)) == full
     with pytest.raises(ValueError):
         count_points(system, EntryZero(3))
     with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
-"""Property tests; deterministic (derandomized) and writing no example database."""
+"""Property tests, run under the shared profile of ``conftest.py``."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crkron.polytope import Tensor3, in_cone
+from crkron.characters import g_oracle
+from crkron.kronecker import kron_via_cr, kron_via_faces, normalize_triple
+from crkron.partitions import conjugate, partitions_of
+from crkron.polytope import CRSystem, Tensor3, count_points, in_cone
 from crkron.tableaux import main_lemma_conditions
 
 
@@ -29,10 +32,40 @@ def small_tensors(draw):
     )
 
 
-@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+def triples(max_n: int):
+    """Three partitions of one n in 2 .. max_n."""
+    return st.sampled_from(range(2, max_n + 1)).flatmap(
+        lambda n: st.tuples(*[st.sampled_from(partitions_of(n))] * 3)
+    )
+
+
+@settings(max_examples=1000)
 @given(small_tensors())
 def test_in_cone_is_main_lemma_on_both_flattenings(tensor):
     assert in_cone(tensor) == (
         main_lemma_conditions(tensor.flatten_col())[0]
         and main_lemma_conditions(tensor.flatten_row())[1]
     )
+
+
+@settings(max_examples=100)
+@given(triples(9), st.integers(1, 9))
+def test_jt_faces_and_oracle_agree(triple, ell):
+    expected = g_oracle(*triple)
+    assert kron_via_cr(*triple) == expected
+    ell = min(ell, len(normalize_triple(*triple)[0]))
+    assert kron_via_faces(*triple, ell) == expected
+
+
+@settings(max_examples=80)
+@given(triples(9))
+def test_conjugating_two_partitions_keeps_g(triple):
+    lam, mu, nu = triple
+    assert kron_via_cr(conjugate(lam), conjugate(mu), nu) == kron_via_cr(lam, mu, nu)
+
+
+@settings(max_examples=200)
+@given(triples(8).flatmap(lambda t: st.tuples(st.just(t), st.permutations(t[2]))))
+def test_cr_count_ignores_level_order(drawn):
+    (lam, mu, tau), order = drawn
+    assert count_points(CRSystem(lam, mu, tuple(order))) == count_points(CRSystem(lam, mu, tau))
