@@ -8,8 +8,8 @@ arithmetic is exact (Python integers), and every division by n! is checked.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
+from itertools import groupby
 from math import comb, factorial
 
 from .partitions import (
@@ -17,16 +17,28 @@ from .partitions import (
     InvariantViolation,
     Partition,
     SizeMismatch,
+    partition,
     partitions_of,
     sort_desc,
 )
 
 
+def _cycle_type(rho: Partition) -> tuple[tuple[int, int], ...]:
+    """``(length, multiplicity)`` pairs of ``rho`` by increasing length."""
+    return tuple((part, len(list(run))) for part, run in groupby(sorted(rho)))
+
+
 def centralizer_order(rho: Partition) -> int:
-    """z_rho = prod_i i^{m_i} m_i! over the cycle multiplicities of ``rho``."""
-    z = 1
-    for length, mult in Counter(rho).items():
-        z *= length**mult * factorial(mult)
+    """z_rho = prod_i i^{m_i} m_i! over the cycle multiplicities of ``rho``.
+
+    Read off the runs of the sorted parts: the k-th copy of a part i
+    contributes the factor i * k.
+    """
+    z, previous, k = 1, None, 0
+    for part in sorted(rho):
+        k = k + 1 if part == previous else 1
+        previous = part
+        z *= part * k
     return z
 
 
@@ -35,36 +47,46 @@ def class_size(rho: Partition) -> int:
     return factorial(sum(rho)) // centralizer_order(rho)
 
 
-def _beta_numbers(lam: Partition) -> tuple[int, ...]:
+def _beta_mask(lam: Partition) -> int:
+    """The beta set of a partition as a bitmask (its abacus).
+
+    Bit b is set iff b = lam_i + l - 1 - i for some row i of l rows.  Zero
+    parts are beads at the bottom, which are shifted out, so every partition
+    has exactly one mask and bit 0 is clear unless the mask is 0.
+    """
+    lam = partition(lam)
     length = len(lam)
-    return tuple(lam[i] + length - 1 - i for i in range(length))
-
-
-def _from_beta_numbers(betas: list[int]) -> Partition:
-    betas = sorted(betas, reverse=True)
-    length = len(betas)
-    lam = [betas[i] - (length - 1 - i) for i in range(length)]
-    while lam and lam[-1] == 0:
-        lam.pop()
-    return tuple(lam)
+    mask = 0
+    for i, part in enumerate(lam):
+        mask |= 1 << (part + length - 1 - i)
+    return mask
 
 
 @lru_cache(maxsize=None)
-def _mn_value(lam: Partition, rho: Partition) -> int:
+def _mn_value(mask: int, rho: Partition) -> int:
+    """chi(rho) of the partition with beta mask ``mask`` (Murnaghan-Nakayama).
+
+    A rim hook of length h is a bead at ``top`` that moves to the clear
+    position ``top - h``; its sign is the parity of the beads it jumps over.
+    ``rho`` is sorted decreasingly and has the partition's size.
+    """
     if not rho:
         return 1
     hook = rho[0]
     rest = rho[1:]
-    betas = _beta_numbers(lam)
-    present = set(betas)
+    jumped = (1 << (hook - 1)) - 1
+    movable = (mask & ~(mask << hook)) >> hook
     total = 0
-    for b in betas:
-        c = b - hook
-        if c < 0 or c in present:
-            continue
-        height = sum(1 for x in betas if c < x < b)
-        replaced = [c if x == b else x for x in betas]
-        total += (-1) ** height * _mn_value(_from_beta_numbers(replaced), rest)
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        target = low.bit_length() - 1
+        moved = mask ^ (low << hook) ^ low
+        if not target:
+            # a bead at 0 is a zero part: shift out the run of low beads
+            moved >>= (moved ^ (moved + 1)).bit_length() - 1
+        value = _mn_value(moved, rest)
+        total += -value if ((mask >> (target + 1)) & jumped).bit_count() & 1 else value
     return total
 
 
@@ -72,7 +94,7 @@ def character_value(lam: Partition, rho: Partition) -> int:
     """Irreducible character value chi^lam(rho) by rim-hook recursion."""
     if sum(lam) != sum(rho):
         raise SizeMismatch(f"|{lam}| != |{rho}|")
-    return _mn_value(tuple(lam), sort_desc(rho))
+    return _mn_value(_beta_mask(lam), sort_desc(rho))
 
 
 def _block_distributions(length: int, mult: int, remaining: tuple[int, ...]):
@@ -113,7 +135,7 @@ def perm_character_value(tau: Composition, rho: Partition) -> int:
     """
     if sum(tau) != sum(rho):
         raise SizeMismatch(f"|{tau}| != |{rho}|")
-    cycles = tuple(sorted(Counter(sort_desc(rho)).items()))
+    cycles = _cycle_type(sort_desc(rho))
     return _phi_value(cycles, tuple(tau))
 
 
@@ -125,19 +147,37 @@ def _inner_product(total: int, n: int) -> int:
     return value
 
 
+def _powers(*lams: Partition) -> dict[int, int]:
+    """Beta mask -> how often that partition occurs among ``lams``."""
+    powers: dict[int, int] = {}
+    for lam in lams:
+        mask = _beta_mask(lam)
+        powers[mask] = powers.get(mask, 0) + 1
+    return powers
+
+
+def _character_product(powers: dict[int, int], rho: Partition) -> int:
+    """prod chi^lam(rho) over ``powers``; stops at the first zero factor."""
+    product = 1
+    for mask, power in powers.items():
+        value = _mn_value(mask, rho)
+        if not value:
+            return 0
+        product *= value**power
+    return product
+
+
 def g_oracle(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Kronecker coefficient via the class-sum inner product of characters."""
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
         raise SizeMismatch(f"sizes of {lam}, {mu}, {nu} differ")
+    powers = _powers(lam, mu, nu)
     total = 0
     for rho in partitions_of(n):
-        total += (
-            class_size(rho)
-            * character_value(lam, rho)
-            * character_value(mu, rho)
-            * character_value(nu, rho)
-        )
+        product = _character_product(powers, rho)
+        if product:
+            total += class_size(rho) * product
     return _inner_product(total, n)
 
 
@@ -147,12 +187,10 @@ def lr_oracle(lam: Partition, mu: Partition, tau: Composition) -> int:
     if sum(mu) != n or sum(tau) != n:
         raise SizeMismatch(f"sizes of {lam}, {mu}, {tau} differ")
     key = sort_desc(tau)
+    powers = _powers(lam, mu)
     total = 0
     for rho in partitions_of(n):
-        total += (
-            class_size(rho)
-            * character_value(lam, rho)
-            * character_value(mu, rho)
-            * perm_character_value(key, rho)
-        )
+        product = _character_product(powers, rho)
+        if product:
+            total += class_size(rho) * product * _phi_value(_cycle_type(rho), key)
     return _inner_product(total, n)

@@ -70,7 +70,13 @@ def _cofactor_paths(nu: Partition, depth: int, by_column: bool):
     soon as a subscript is negative.  Yields ``(sign, subscripts, rest)``
     with the indices left unpicked.  At full depth the branches are the
     permutations with no negative subscript, in lexicographic order.
+
+    Row i takes only columns j >= i - nu_i, and these thresholds increase
+    with i, so the rows left after a pick can all be served iff the k-th
+    smallest column left meets the k-th row's threshold; the row walk cuts
+    every other branch at once, so each branch it enters ends in a term.
     """
+    need = tuple(i - part for i, part in enumerate(nu, 1))
 
     def walk(step: int, rest: tuple[int, ...], sign: int, picks: tuple[int, ...]):
         if step > depth:
@@ -79,13 +85,13 @@ def _cofactor_paths(nu: Partition, depth: int, by_column: bool):
         for pos, pick in enumerate(rest):
             i, j = (pick, step) if by_column else (step, pick)
             subscript = nu[i - 1] - i + j
-            if subscript >= 0:
-                yield from walk(
-                    step + 1,
-                    rest[:pos] + rest[pos + 1 :],
-                    -sign if pos % 2 else sign,
-                    picks + (subscript,),
-                )
+            if subscript < 0:
+                continue
+            left = rest[:pos] + rest[pos + 1 :]
+            if not by_column and any(col < t for col, t in zip(left, need[step:])):
+                # a later pick leaves smaller columns, so it fails too
+                break
+            yield from walk(step + 1, left, -sign if pos % 2 else sign, picks + (subscript,))
 
     return walk(1, tuple(range(1, len(nu) + 1)), 1, ())
 

@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
@@ -28,6 +29,56 @@ def test_character_value_examples():
     assert character_value((2, 1), (1, 1, 1)) == 2
     with pytest.raises(SizeMismatch):
         character_value((2, 1), (2, 2))
+
+
+@lru_cache(maxsize=None)
+def _reference_mn(lam, rho):
+    """Rim-hook recursion on tuples of beta numbers: the reference for the core."""
+    if not rho:
+        return 1
+    betas = [lam[i] + len(lam) - 1 - i for i in range(len(lam))]
+    total = 0
+    for b in betas:
+        c = b - rho[0]
+        if c < 0 or c in betas:
+            continue
+        height = sum(1 for x in betas if c < x < b)
+        moved = sorted((c if x == b else x for x in betas), reverse=True)
+        shape = [moved[i] - (len(moved) - 1 - i) for i in range(len(moved))]
+        while shape and shape[-1] == 0:
+            shape.pop()
+        total += (-1) ** height * _reference_mn(tuple(shape), rho[1:])
+    return total
+
+
+def test_character_value_matches_tuple_recursion():
+    for n in range(13):
+        for lam in partitions_of(n):
+            for rho in partitions_of(n):
+                assert character_value(lam, rho) == _reference_mn(lam, rho), (lam, rho)
+    # zero parts and unsorted cycle types are the same class
+    assert character_value((3, 2, 0, 0), (1, 2, 0, 2)) == _reference_mn((3, 2), (2, 2, 1))
+
+
+def test_column_orthogonality():
+    for n in range(1, 10):
+        classes = partitions_of(n)
+        for i, rho in enumerate(classes):
+            for sigma in classes[i:]:
+                total = sum(
+                    character_value(lam, rho) * character_value(lam, sigma)
+                    for lam in classes
+                )
+                assert total == (centralizer_order(rho) if rho == sigma else 0)
+
+
+def test_centralizer_order_ignores_part_order():
+    # z_(3,2,2,1,1,1) = 3 * 2^2 * 2! * 1^3 * 3!
+    assert centralizer_order((3, 2, 2, 1, 1, 1)) == 3 * 4 * 2 * 6
+    for n in range(1, 8):
+        for rho in partitions_of(n):
+            assert centralizer_order(rho[::-1]) == centralizer_order(rho)
+            assert perm_character_value(rho, rho[::-1]) == perm_character_value(rho, rho)
 
 
 def test_character_dimensions_by_hook_lengths():

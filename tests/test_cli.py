@@ -161,6 +161,20 @@ def test_deep_input_exits_2_without_traceback():
     assert "Traceback" not in proc.stderr
 
 
+def test_g_oracle_n40_subprocess():
+    twenty = "20,20"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "crkron.cli", "g", "--method", "oracle",
+         "--lambda", twenty, "--mu", twenty, "--nu", twenty],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+
 def test_selfcheck_deterministic_across_threads(capsys):
     outputs = []
     for threads in ("1", "2", "8"):

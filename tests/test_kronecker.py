@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -66,14 +67,15 @@ def test_jt_expansion_matches_permutation_sum():
 
 
 def test_jt_expansion_prunes_dead_branches():
-    # e_9 = sum over the 2^8 compositions a of 9 of (-1)^(9 - len(a)) h_a,
-    # out of 9! permutations
-    start = time.perf_counter()
-    terms = jt_expansion((1,) * 9)
-    assert time.perf_counter() - start < 1.0
-    assert len(terms) == 2**8
-    assert len({t.gamma for t in terms}) == 2**8
-    assert all(sum(t.gamma) == 9 and t.sign == (-1) ** (9 - len(t.gamma)) for t in terms)
+    # e_n = sum over the 2^(n-1) compositions a of n of (-1)^(n - len(a)) h_a,
+    # out of n! permutations
+    for n in (9, 12):
+        start = time.perf_counter()
+        terms = jt_expansion((1,) * n)
+        assert time.perf_counter() - start < 1.0
+        assert len(terms) == 2 ** (n - 1)
+        assert len({t.gamma for t in terms}) == 2 ** (n - 1)
+        assert all(sum(t.gamma) == n and t.sign == (-1) ** (n - len(t.gamma)) for t in terms)
 
 
 def test_jt_expansion_is_inverse_kostka_route():
@@ -165,6 +167,16 @@ def test_kron_via_cr_matches_oracle():
             for mu in partitions_of(n):
                 for nu in partitions_of(n):
                     assert kron_via_cr(lam, mu, nu) == g_oracle(lam, mu, nu)
+
+
+def test_two_row_square_triples_pinned():
+    # g((m,m),(m,m),(m,m)) is 1 for even m and 0 for odd m
+    # (Garsia, Wallach, Xin and Zabrocki); the few-row end of the jt/oracle crossover
+    for m in range(2, 21):
+        triple = ((m, m),) * 3
+        expected = 1 - m % 2
+        assert g_oracle(*triple) == expected, m
+        assert kron_via_cr(*triple) == expected, m
 
 
 def test_z_matrix_displays():
@@ -407,3 +419,15 @@ def test_invariant_violations_raise_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "True", "1", "True", "True", "True", "True", "True"]
     assert proc.stderr.strip().startswith("internal error: negative coefficient -1")
+
+
+def test_no_assert_statements_in_src():
+    # python -O strips asserts, so invariants must raise instead
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "crkron")
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as handle:
+                tree = ast.parse(handle.read(), filename=name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
