@@ -9,8 +9,10 @@ a vanishing staircase and a family of column/row prefix-sum inequalities.
 Counting is exhaustive: a depth-first assignment of entries in level-major,
 row-major order, pruned by marginal residuals and by each inequality as soon
 as its last referenced entry has been assigned.  A union of faces is counted
-in the same search, with each face compiled to a linear form that is 0
-exactly on it.  No floating point anywhere; rational data uses
+by the same recursion, with each face compiled to a linear form that is 0
+exactly on it: each form is decided at its last free cell, a flag ``hit``
+marks the branches already on the union, and a branch is cut once every
+form is decided nonzero.  No floating point anywhere; rational data uses
 ``fractions.Fraction``.
 
 The search is exact but does not visit every point when it only counts.
@@ -22,7 +24,8 @@ once per search.  For the column-row families every straddling check is a
 whole row or column of the assigned levels on each side, so the residuals
 alone make the key.  The set-up that depends on the shape only (free
 cells, unit completions, checks by closing position, cuts) is built once
-per (p, q, r) and kept (``_plan``); the memo lives for one search.
+per (p, q, r) and kept (``_plan``); the memo lives for one search, and
+subtrees on the union are counted by the same memo as whole polytopes.
 Enumeration runs the same recursion with the memo off.
 """
 
@@ -36,7 +39,7 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
-from .partitions import Composition, Partition, SizeMismatch, partition
+from .partitions import Composition, Partition, SizeMismatch, composition, partition
 
 Number = Union[int, Fraction]
 
@@ -312,9 +315,7 @@ class CRSystem:
     ):
         self.lam = partition(lam)
         self.mu = partition(mu)
-        self.tau = tuple(int(t) for t in tau)
-        if any(t < 0 for t in self.tau):
-            raise ValueError(f"negative part in {tau}")
+        self.tau = composition(tau)
         if sum(self.lam) != sum(self.mu) or sum(self.lam) != sum(self.tau):
             raise SizeMismatch(f"sizes of {lam}, {mu}, {tau} differ")
         if not self.lam or not self.tau:
@@ -323,9 +324,10 @@ class CRSystem:
         self.q = len(self.mu)
         self.r = len(self.tau)
         self.transport_only = bool(transport_only)
-        self._families = _compile_constraints(self.p, self.q, self.r)
-        self.column_inequalities = self._families[0].labels
-        self.row_inequalities = self._families[1].labels
+        self._families = () if self.transport_only else _compile_constraints(self.p, self.q, self.r)
+        self.column_inequalities, self.row_inequalities = (
+            tuple(family.labels for family in self._families) or ((), ())
+        )
 
     @property
     def vanishing(self) -> frozenset[tuple[int, int, int]]:
@@ -530,12 +532,16 @@ def _search(
     """Depth-first assignment of all integer points; returns their number.
 
     With ``forms`` (see ``_face_forms``) only the points on the union of
-    their faces count.  When counting, each subtree is counted once per
-    state at the first free cell of every level (see ``_Plan``): the
+    their faces count.  Each form is decided where its last free cell is
+    assigned; ``hit`` marks a branch already on the union (from the start
+    when there are no forms), and a branch past the last decision with
+    every form nonzero is cut.  When counting, each subtree is counted once
+    per state at the first free cell of every level (see ``_Plan``): the
     position, the row and column residuals, the residuals of this and later
-    levels and the partial sums of the checks (and, in the face search, the
+    levels and the partial sums of the checks (and, off the union, of the
     undecided forms) that straddle the cut decide the rest of the search.
-    With ``on_solution`` the memo is off and every point reaches it, in
+    Subtrees on the union share one memo, the others keep their own.  With
+    ``on_solution`` the memo is off and every point reaches it, in
     lexicographic order.
     """
     p, q, r = system.dims
@@ -543,10 +549,16 @@ def _search(
     targets = (system.lam, system.mu, system.tau)
     if any(targets[axis][unit] for axis, unit in plan.idle):
         return 0
+    form_plan = None if forms is None else _form_plan(forms, p, q, r, system.transport_only)
+    # Without forms (or with one that is 0 everywhere) every branch is on the union.
+    forms_at, last, form_parts = form_plan or ((), 0, ())
+    if last < 0:
+        return 0
     free_cells, cells, unit_last, checks_at = plan.free, plan.cells, plan.finals, plan.checks_at
     n_free = len(free_cells)
     cuts = plan.cuts if on_solution is None else (None,) * n_free
-    memo: dict[tuple, int] = {}
+    plain_memo: dict[tuple, int] = {}
+    face_memo: dict[tuple, int] = {}
 
     entries = [0] * (p * q * r)
     get = entries.__getitem__
@@ -555,24 +567,26 @@ def _search(
     lev_rem = list(system.tau)
     rems = (row_rem, col_rem, lev_rem)
 
-    def state(pos: int, cut: tuple) -> tuple:
-        level, parts = cut
-        return (
-            pos,
-            *row_rem,
-            *col_rem,
-            *lev_rem[level:],
-            *[sum(map(get, lhs)) - sum(map(get, rhs)) for lhs, rhs in parts],
-        )
-
-    def rec(pos: int) -> int:
+    def rec(pos: int, hit: bool) -> int:
         if pos == n_free:
             if on_solution is not None:
                 on_solution(entries)
             return 1
         cut = cuts[pos]
         if cut is not None:
-            key = state(pos, cut)
+            level, parts = cut
+            key = (
+                pos,
+                *row_rem,
+                *col_rem,
+                *lev_rem[level:],
+                *[sum(map(get, lhs)) - sum(map(get, rhs)) for lhs, rhs in parts],
+            )
+            if hit:
+                memo = plain_memo
+            else:
+                memo = face_memo
+                key += tuple(sum(map(get, lhs)) - sum(map(get, rhs)) for lhs, rhs in form_parts[pos])
             found = memo.get(key)
             if found is not None:
                 return found
@@ -608,7 +622,10 @@ def _search(
                     ok = False
                     break
             if ok:
-                total += rec(pos + 1)
+                if hit or any(sum(map(get, lhs)) == sum(map(get, rhs)) for lhs, rhs in forms_at[pos]):
+                    total += rec(pos + 1, True)
+                elif pos < last:
+                    total += rec(pos + 1, False)
             row_rem[i] += v
             col_rem[j] += v
             lev_rem[k] += v
@@ -617,59 +634,7 @@ def _search(
             memo[key] = total
         return total
 
-    if forms is None:
-        return rec(0)
-
-    form_plan = _form_plan(forms, p, q, r, system.transport_only)
-    if form_plan is None:
-        return rec(0)
-    forms_at, last, form_parts = form_plan
-    front_memo: dict[tuple, int] = {}
-
-    def front(pos: int) -> int:
-        # ``rec`` plus the face forms, kept apart so that plain searches do
-        # not pay for them.  A form at 0 puts the subtree on the union and
-        # hands it to ``rec``; a branch past ``last`` with every form
-        # nonzero holds no point of the union.
-        cut = cuts[pos]
-        if cut is not None:
-            key = state(pos, cut) + tuple(
-                sum(map(get, lhs)) - sum(map(get, rhs)) for lhs, rhs in form_parts[pos]
-            )
-            found = front_memo.get(key)
-            if found is not None:
-                return found
-        i, j, k = cells[pos]
-        ub = min(row_rem[i], col_rem[j], lev_rem[k])
-        finals = unit_last[pos]
-        if finals:
-            need = rems[finals[0][0]][finals[0][1]]
-            if need > ub or any(rems[axis][unit] != need for axis, unit in finals[1:]):
-                return 0
-            values = (need,)
-        else:
-            values = range(ub + 1)
-        idx = free_cells[pos]
-        total = 0
-        for v in values:
-            entries[idx] = v
-            row_rem[i] -= v
-            col_rem[j] -= v
-            lev_rem[k] -= v
-            if all(sum(map(get, lhs)) >= sum(map(get, rhs)) for lhs, rhs in checks_at[pos]):
-                if any(sum(map(get, lhs)) == sum(map(get, rhs)) for lhs, rhs in forms_at[pos]):
-                    total += rec(pos + 1)
-                elif pos < last:
-                    total += front(pos + 1)
-            row_rem[i] += v
-            col_rem[j] += v
-            lev_rem[k] += v
-        entries[idx] = 0
-        if cut is not None:
-            front_memo[key] = total
-        return total
-
-    return front(0) if last >= 0 else 0
+    return rec(0, form_plan is None)
 
 
 def _tensor_from_flat(entries: Sequence[Number], p: int, q: int, r: int) -> Tensor3:

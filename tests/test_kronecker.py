@@ -373,6 +373,21 @@ def test_face_term_breakdown_schema():
     assert face_term_breakdown((3,), (1, 1, 1), (2, 1), 1) == []
 
 
+def test_face_terms_n18_pinned():
+    # three levels with deep cuts: (countPlus, countMinus) per pair term; each ell sums to g = 35
+    lam, mu, nu = (8, 6, 4), (6, 6, 6), (9, 6, 3)
+    terms = [(1, [6, 6, 6], [7, 5, 6]), (-1, [7, 6, 5], [8, 5, 5]), (1, [7, 7, 4], [8, 6, 4])]
+    expected = {
+        1: [(6699, 5016), (6614, 3995), (4913, 3942)],
+        2: [(6511, 4828), (5969, 3350), (4223, 3252)],
+        3: [(12063, 10380), (9837, 7218), (7251, 6280)],
+    }
+    for ell, counts in expected.items():
+        breakdown = face_term_breakdown(lam, mu, nu, ell)
+        assert [(item["sign"], item["tau"], item["tauBar"]) for item in breakdown] == terms, ell
+        assert [(item["countPlus"], item["countMinus"]) for item in breakdown] == counts, ell
+
+
 def test_cr_count_reorder_invariant_memo():
     assert cr_count((2, 1), (2, 1), (1, 2)) == cr_count((2, 1), (2, 1), (2, 1))
     assert cr_count((2, 1), (2, 1), (2, 1, 0)) == cr_count((2, 1), (2, 1), (2, 1))

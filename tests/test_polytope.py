@@ -437,3 +437,7 @@ def test_crsystem_validation_and_json():
     assert payload["transportOnly"] is False
     assert [2, 2, 1] in payload["vanishing"]
     assert payload["columnInequalities"] and payload["rowInequalities"]
+    transport = CRSystem((2, 1), (2, 1), (2, 1), transport_only=True).to_json_dict()
+    assert transport["transportOnly"] is True
+    assert transport["vanishing"] == []
+    assert transport["columnInequalities"] == [] and transport["rowInequalities"] == []
