@@ -6,27 +6,34 @@ the p x q x r array X: the pr x q vertical stack of the level matrices
 (highest level on top) and the p x qr horizontal concatenation.  Both carry
 a vanishing staircase and a family of column/row prefix-sum inequalities.
 
-Counting is exhaustive: a depth-first assignment of entries in level-major,
-row-major order, pruned by marginal residuals and by each inequality as soon
-as its last referenced entry has been assigned.  A union of faces is counted
-by the same recursion, with each face compiled to a linear form that is 0
-exactly on it: each form is decided at its last free cell, a flag ``hit``
-marks the branches already on the union, and a branch is cut once every
-form is decided nonzero.  No floating point anywhere; rational data uses
+Counting is exhaustive: a depth-first assignment of entries, level by
+level from level 1 up, and within each level from its last cell (row p,
+column q) back to its first, pruned by marginal residuals and by each
+inequality as soon as its last referenced entry has been assigned.  Every
+canonicity check reads a lower run of a column (or a right run of a row)
+of its highest level plus cells of the levels below, so in this order it
+closes as soon as that lower-right block of its level is filled, not in
+the level's last row.  A union of faces is counted by the same recursion,
+with each face compiled to a linear form that is 0 exactly on it: each
+form is decided at its last free cell, a flag ``hit`` marks the branches
+already on the union, and a branch is cut once every form is decided
+nonzero.  No floating point anywhere; rational data uses
 ``fractions.Fraction``.
 
 The search is exact but does not visit every point when it only counts.
 At the first free cell of each level it looks up its state: the position,
-the row and column residuals, the residuals of this and later levels, and
-the partial sums of the checks (and face forms) with free cells on both
-sides of that cut.  Equal states have equal subtrees, so each is counted
-once per search.  For the column-row families every straddling check is a
-whole row or column of the assigned levels on each side, so the residuals
-alone make the key.  The set-up that depends on the shape only (free
-cells, unit completions, checks by closing position, cuts) is built once
-per (p, q, r) and kept (``_plan``); the memo lives for one search, and
-subtrees on the union are counted by the same memo as whole polytopes.
-Enumeration runs the same recursion with the memo off.
+the row and column residuals, and the partial sums of the checks (and
+face forms) with free cells on both sides of that cut.  The level
+residuals need no place in the key: at a cut the earlier levels are full
+and the later ones untouched.  Equal states have equal subtrees, so each
+is counted once per search.  For the column-row families every
+straddling check is a whole row or column of the assigned levels on each
+side, so the residuals alone make the key.  The set-up that depends on
+the shape only (free cells, unit completions, checks by closing
+position, cuts) is built once per (p, q, r) and kept (``_plan``); the
+memo lives for one search, and subtrees on the union are counted by the
+same memo as whole polytopes.  Enumeration runs the same recursion with
+the memo off and sorts the points it finds.
 """
 
 from __future__ import annotations
@@ -66,6 +73,13 @@ class Tensor3:
         for level in self.levels:
             if len(level) != p or any(len(row) != q for row in level):
                 raise ValueError("ragged tensor")
+
+    @classmethod
+    def _trusted(cls, levels: tuple[tuple[tuple[Number, ...], ...], ...]) -> "Tensor3":
+        """A tensor whose levels are known to be well formed: no validation."""
+        tensor = object.__new__(cls)
+        object.__setattr__(tensor, "levels", levels)
+        return tensor
 
     @staticmethod
     def from_levels(levels: Iterable[Iterable[Iterable[Number]]]) -> "Tensor3":
@@ -390,13 +404,16 @@ def is_member(tensor: Tensor3, system: CRSystem) -> bool:
 class _Plan(NamedTuple):
     """Search set-up of one (p, q, r) shape: everything but the targets.
 
-    Free cells are searched in flat order.  ``cells`` holds the 0-based
-    (row, column, level) of each free position, ``pos_of`` the position of
-    each free flat index, ``idle`` the units (axis, index) with no free
-    cell, ``finals`` the units whose last free cell each position is,
-    ``checks_at`` the checks that close at each position, and ``cuts`` is
-    ``(level, parts)`` at the first free cell of every level after the
-    first (None elsewhere): ``parts`` are the assigned parts of the checks
+    Free cells are searched level by level, level 1 first, and each level
+    backwards from its last flat index, so a check closes once the rows
+    (or columns) it reads in its highest level are filled, not at the
+    level's last row.
+    ``cells`` holds the 0-based (row, column, level) of each free position,
+    ``pos_of`` the position of each free flat index, ``idle`` the units
+    (axis, index) with no free cell, ``finals`` the units whose last free
+    cell each position is, ``checks_at`` the checks that close at each
+    position, and ``cuts`` holds, at the first free cell of every level
+    after the first (None elsewhere), the assigned parts of the checks
     that straddle it (see ``_straddling``).
     """
 
@@ -464,7 +481,12 @@ def _before(plan_cells, cut: int) -> Counter:
 def _plan(p: int, q: int, r: int, transport_only: bool) -> _Plan:
     families = () if transport_only else _compile_constraints(p, q, r)
     forced = {t for family in families for t in family.vanishing}
-    free = tuple(idx for idx in range(p * q * r) if idx not in forced)
+    free = tuple(
+        idx
+        for k in range(r)
+        for idx in reversed(range(k * p * q, (k + 1) * p * q))
+        if idx not in forced
+    )
     pos_of = {idx: pos for pos, idx in enumerate(free)}
     cells = tuple((idx // q % p, idx % q, idx // (p * q)) for idx in free)
 
@@ -488,7 +510,7 @@ def _plan(p: int, q: int, r: int, transport_only: bool) -> _Plan:
     for level in range(1, r):
         first = next((pos for pos, cell in enumerate(cells) if cell[2] >= level), None)
         if first is not None and cuts[first] is None and first > 0:
-            cuts[first] = (level, _straddling(closing, pos_of, first, _before(cells, first)))
+            cuts[first] = _straddling(closing, pos_of, first, _before(cells, first))
     return _Plan(
         free,
         cells,
@@ -535,14 +557,16 @@ def _search(
     their faces count.  Each form is decided where its last free cell is
     assigned; ``hit`` marks a branch already on the union (from the start
     when there are no forms), and a branch past the last decision with
-    every form nonzero is cut.  When counting, each subtree is counted once
-    per state at the first free cell of every level (see ``_Plan``): the
-    position, the row and column residuals, the residuals of this and later
-    levels and the partial sums of the checks (and, off the union, of the
-    undecided forms) that straddle the cut decide the rest of the search.
-    Subtrees on the union share one memo, the others keep their own.  With
-    ``on_solution`` the memo is off and every point reaches it, in
-    lexicographic order.
+    every form nonzero is cut.  Cells are visited in the plan's order (see
+    ``_Plan``): levels in turn, each from its last cell back, so that a
+    check, which reads a suffix of rows or columns of a level, prunes as
+    soon as that suffix is filled.  When counting, each subtree is counted
+    once per state at the first free cell of every level: the position,
+    the row and column residuals and the partial sums of the checks (and,
+    off the union, of the undecided forms) that straddle the cut decide
+    the rest of the search.  Subtrees on the union share one memo, the
+    others keep their own.  With ``on_solution`` the memo is off and every
+    point reaches it, in search order.
     """
     p, q, r = system.dims
     plan = _plan(p, q, r, system.transport_only)
@@ -574,13 +598,11 @@ def _search(
             return 1
         cut = cuts[pos]
         if cut is not None:
-            level, parts = cut
             key = (
                 pos,
                 *row_rem,
                 *col_rem,
-                *lev_rem[level:],
-                *[sum(map(get, lhs)) - sum(map(get, rhs)) for lhs, rhs in parts],
+                *[sum(map(get, lhs)) - sum(map(get, rhs)) for lhs, rhs in cut],
             )
             if hit:
                 memo = plain_memo
@@ -638,13 +660,9 @@ def _search(
 
 
 def _tensor_from_flat(entries: Sequence[Number], p: int, q: int, r: int) -> Tensor3:
-    levels = []
-    for k in range(r):
-        base = k * p * q
-        levels.append(
-            tuple(tuple(entries[base + i * q + j] for j in range(q)) for i in range(p))
-        )
-    return Tensor3(tuple(levels))
+    """Tensor of flat search output, built without re-validating its shape."""
+    rows = [tuple(entries[base : base + q]) for base in range(0, p * q * r, q)]
+    return Tensor3._trusted(tuple(tuple(rows[k * p : (k + 1) * p]) for k in range(r)))
 
 
 # Face-union counts by value, (lam, mu, tau, face) -> count.
@@ -673,9 +691,10 @@ def count_points(system: CRSystem, face: FacePredicate | None = None) -> int:
 def enumerate_points(system: CRSystem) -> tuple[Tensor3, ...]:
     """All integer points, in lexicographic order of the flattened entries."""
     p, q, r = system.dims
-    out: list[Tensor3] = []
-    _search(system, lambda entries: out.append(_tensor_from_flat(entries, p, q, r)))
-    return tuple(out)
+    found: list[tuple[int, ...]] = []
+    _search(system, lambda entries: found.append(tuple(entries)))
+    found.sort()
+    return tuple(_tensor_from_flat(entries, p, q, r) for entries in found)
 
 
 def face_hit_counts(system: CRSystem, union: FaceUnion) -> tuple[int, ...]:

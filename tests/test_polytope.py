@@ -229,6 +229,26 @@ def test_face_count_edge_cases():
         count_points(system, (1, 1))
 
 
+def test_face_memo_is_kept_apart_from_plain_memo():
+    # a level-2 state reached both on the union (x(1,1,1) = 0) and off it
+    # (x(1,1,1) = 1, x(2,2,2) still open): one shared memo would count 9
+    system = CRSystem((2, 2), (2, 2), (2, 2), transport_only=True)
+    p, q, _ = system.dims
+    forms = tuple(((polytope._flat(i, i, i, p, q),), ()) for i in (1, 2))
+    points = enumerate_points(system)
+    assert len(points) == 12
+    on_union = [point for point in points if point.entry(1, 1, 1) == 0 or point.entry(2, 2, 2) == 0]
+    assert polytope._search(system, forms=forms) == len(on_union) == 8
+
+
+def test_deep_counts_pinned():
+    # (2^k)^3 has 58, 201, 484 and 955 free cells, one recursion frame each
+    expected = {4: 20, 6: 612, 8: 27680, 10: 1488392}
+    for k, count in expected.items():
+        twos = (2,) * k
+        assert count_points(CRSystem(twos, twos, twos)) == count, k
+
+
 def test_face_counts_need_column_row_system():
     transport = CRSystem((2, 1), (2, 1), (2, 1), transport_only=True)
     for face in (DiagZero(1), EntryZero(1), FaceUnion((DiagZero(1), EntryZero(1)))):
