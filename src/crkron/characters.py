@@ -4,19 +4,28 @@ This is the ground-truth side of the package: Kronecker coefficients and
 Littlewood-Richardson-type multiplicities computed from class sums alone,
 with no tableaux and no polytopes anywhere in the call chain.  All
 arithmetic is exact (Python integers), and every division by n! is checked.
+
+The class sums read whole character-table columns: ``_column`` lists
+chi^lam(rho) for every rho |- n in ``partitions_of`` order, once per
+partition and n, and ``_class_sizes`` the matching class sizes.  Zero
+parts of a cycle type are dropped and zero parts of a composition are
+empty blocks; a negative part in either raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, repeat
 from math import comb, factorial
+from operator import add, sub
 
 from .partitions import (
     Composition,
     InvariantViolation,
     Partition,
     SizeMismatch,
+    _partitions_below,
+    composition,
     partition,
     partitions_of,
     sort_desc,
@@ -32,10 +41,14 @@ def centralizer_order(rho: Partition) -> int:
     """z_rho = prod_i i^{m_i} m_i! over the cycle multiplicities of ``rho``.
 
     Read off the runs of the sorted parts: the k-th copy of a part i
-    contributes the factor i * k.
+    contributes the factor i * k.  Zero parts are dropped; a negative part
+    raises ``ValueError``.
     """
+    parts = sorted(rho)
+    if parts and parts[0] < 0:
+        raise ValueError(f"negative part {parts[0]} in {tuple(rho)}")
     z, previous, k = 1, None, 0
-    for part in sorted(rho):
+    for part in filter(None, parts):
         k = k + 1 if part == previous else 1
         previous = part
         z *= part * k
@@ -44,7 +57,14 @@ def centralizer_order(rho: Partition) -> int:
 
 def class_size(rho: Partition) -> int:
     """Number of permutations with cycle type ``rho``."""
-    return factorial(sum(rho)) // centralizer_order(rho)
+    z = centralizer_order(rho)  # first, so a negative part is named, not factorial's error
+    return factorial(sum(rho)) // z
+
+
+@lru_cache(maxsize=None)
+def _class_sizes(n: int) -> tuple[int, ...]:
+    """``class_size(rho)`` for every rho in ``partitions_of(n)`` order."""
+    return tuple(class_size(rho) for rho in partitions_of(n))
 
 
 def _beta_mask(lam: Partition) -> int:
@@ -63,20 +83,16 @@ def _beta_mask(lam: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
-def _mn_value(mask: int, rho: Partition) -> int:
-    """chi(rho) of the partition with beta mask ``mask`` (Murnaghan-Nakayama).
+def _rim_hooks(mask: int, hook: int) -> tuple[tuple[int, int], ...]:
+    """``(moved mask, odd)`` for each rim hook of length ``hook`` in ``mask``.
 
     A rim hook of length h is a bead at ``top`` that moves to the clear
-    position ``top - h``; its sign is the parity of the beads it jumps over.
-    ``rho`` is sorted decreasingly and has the partition's size.
+    position ``top - h``; ``odd`` is 1 iff it jumps over an odd number of
+    beads, which makes its sign negative.
     """
-    if not rho:
-        return 1
-    hook = rho[0]
-    rest = rho[1:]
     jumped = (1 << (hook - 1)) - 1
     movable = (mask & ~(mask << hook)) >> hook
-    total = 0
+    hooks = []
     while movable:
         low = movable & -movable
         movable ^= low
@@ -85,16 +101,54 @@ def _mn_value(mask: int, rho: Partition) -> int:
         if not target:
             # a bead at 0 is a zero part: shift out the run of low beads
             moved >>= (moved ^ (moved + 1)).bit_length() - 1
+        hooks.append((moved, ((mask >> (target + 1)) & jumped).bit_count() & 1))
+    return tuple(hooks)
+
+
+@lru_cache(maxsize=None)
+def _mn_value(mask: int, rho: Partition) -> int:
+    """chi(rho) of the partition with beta mask ``mask`` (Murnaghan-Nakayama).
+
+    ``rho`` is sorted decreasingly and has the partition's size; its
+    largest part is removed first.
+    """
+    if not rho:
+        return 1
+    rest = rho[1:]
+    total = 0
+    for moved, odd in _rim_hooks(mask, rho[0]):
         value = _mn_value(moved, rest)
-        total += -value if ((mask >> (target + 1)) & jumped).bit_count() & 1 else value
+        total += -value if odd else value
     return total
+
+
+@lru_cache(maxsize=None)
+def _column(mask: int, n: int) -> tuple[int, ...]:
+    """chi(rho) of the partition with beta mask ``mask``, for every rho |- n.
+
+    ``partitions_of(n)`` lists rho by its largest part h, descending, then
+    by the tails ``_partitions_below(n - h, h)``, so the hooks of length h
+    are removed once per h and each class is a ``_mn_value`` of its tail.
+    """
+    if not n:
+        return (1,)  # the empty class of S_0
+    column: list[int] = []
+    for h in range(n, 0, -1):
+        tails = _partitions_below(n - h, h)
+        block = [0] * len(tails)
+        for moved, odd in _rim_hooks(mask, h):
+            values = map(_mn_value, repeat(moved), tails)
+            block = list(map(sub if odd else add, block, values))
+        column += block
+    return tuple(column)
 
 
 def character_value(lam: Partition, rho: Partition) -> int:
     """Irreducible character value chi^lam(rho) by rim-hook recursion."""
-    if sum(lam) != sum(rho):
+    cycles = sort_desc(composition(rho))
+    if sum(lam) != sum(cycles):
         raise SizeMismatch(f"|{lam}| != |{rho}|")
-    return _mn_value(_beta_mask(lam), sort_desc(rho))
+    return _mn_value(_beta_mask(lam), cycles)
 
 
 def _block_distributions(length: int, mult: int, remaining: tuple[int, ...]):
@@ -133,10 +187,11 @@ def perm_character_value(tau: Composition, rho: Partition) -> int:
     Counts the ways to distribute the multiset of cycles of ``rho`` into
     blocks with prescribed sums tau_1, ..., tau_r.
     """
-    if sum(tau) != sum(rho):
+    blocks = composition(tau)
+    cycles = sort_desc(composition(rho))
+    if sum(blocks) != sum(cycles):
         raise SizeMismatch(f"|{tau}| != |{rho}|")
-    cycles = _cycle_type(sort_desc(rho))
-    return _phi_value(cycles, tuple(tau))
+    return _phi_value(_cycle_type(cycles), blocks)
 
 
 def _inner_product(total: int, n: int) -> int:
@@ -147,50 +202,28 @@ def _inner_product(total: int, n: int) -> int:
     return value
 
 
-def _powers(*lams: Partition) -> dict[int, int]:
-    """Beta mask -> how often that partition occurs among ``lams``."""
-    powers: dict[int, int] = {}
-    for lam in lams:
-        mask = _beta_mask(lam)
-        powers[mask] = powers.get(mask, 0) + 1
-    return powers
-
-
-def _character_product(powers: dict[int, int], rho: Partition) -> int:
-    """prod chi^lam(rho) over ``powers``; stops at the first zero factor."""
-    product = 1
-    for mask, power in powers.items():
-        value = _mn_value(mask, rho)
-        if not value:
-            return 0
-        product *= value**power
-    return product
-
-
 def g_oracle(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Kronecker coefficient via the class-sum inner product of characters."""
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
         raise SizeMismatch(f"sizes of {lam}, {mu}, {nu} differ")
-    powers = _powers(lam, mu, nu)
+    columns = [_column(_beta_mask(x), n) for x in (lam, mu, nu)]
     total = 0
-    for rho in partitions_of(n):
-        product = _character_product(powers, rho)
-        if product:
-            total += class_size(rho) * product
+    for size, a, b, c in zip(_class_sizes(n), *columns):
+        if a and b and c:
+            total += size * a * b * c
     return _inner_product(total, n)
 
 
 def lr_oracle(lam: Partition, mu: Partition, tau: Composition) -> int:
     """<chi^lam x chi^mu, phi^tau> via class sums, exact."""
+    key = sort_desc(composition(tau))
     n = sum(lam)
-    if sum(mu) != n or sum(tau) != n:
+    if sum(mu) != n or sum(key) != n:
         raise SizeMismatch(f"sizes of {lam}, {mu}, {tau} differ")
-    key = sort_desc(tau)
-    powers = _powers(lam, mu)
+    columns = [_column(_beta_mask(x), n) for x in (lam, mu)]
     total = 0
-    for rho in partitions_of(n):
-        product = _character_product(powers, rho)
-        if product:
-            total += class_size(rho) * product * _phi_value(_cycle_type(rho), key)
+    for rho, size, a, b in zip(partitions_of(n), _class_sizes(n), *columns):
+        if a and b:
+            total += size * a * b * _phi_value(_cycle_type(rho), key)
     return _inner_product(total, n)

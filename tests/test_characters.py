@@ -5,6 +5,8 @@ from math import factorial
 import pytest
 
 from crkron.characters import (
+    _beta_mask,
+    _column,
     centralizer_order,
     character_value,
     class_size,
@@ -169,3 +171,98 @@ def test_lr_oracle_matches_tableau_enumeration():
             for mu in partitions_of(n):
                 for tau in partitions_of(n):
                     assert lr_oracle(lam, mu, tau) == count_lr_pairs(lam, mu, tau)
+
+
+def test_malformed_cycle_types_and_compositions():
+    # zero parts are dropped, as character_value always did
+    assert centralizer_order((2, 1, 0)) == centralizer_order((2, 1)) == 2
+    assert class_size((2, 1, 0)) == class_size((0, 1, 2)) == 3
+    assert perm_character_value((2, 1), (2, 1, 0)) == perm_character_value((2, 1), (2, 1))
+    assert lr_oracle((2, 1), (2, 1), (0, 2, 0, 1)) == lr_oracle((2, 1), (2, 1), (2, 1))
+    # a negative part raises the message CRSystem gives
+    calls = (
+        lambda: centralizer_order((3, -1, 1)),
+        lambda: class_size((3, -1, 1)),
+        lambda: class_size((1, -1)),
+        lambda: character_value((2, 1), (4, -1)),
+        lambda: perm_character_value((4, -1), (2, 1)),
+        lambda: perm_character_value((2, 1), (4, -1)),
+        lambda: lr_oracle((2, 1), (2, 1), (4, -1)),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^negative part -1 in \("):
+            call()
+
+
+def _g_by_classes(lam, mu, nu):
+    """The per-class loop: the reference for the column-based g_oracle."""
+    n = sum(lam)
+    total = sum(
+        class_size(rho)
+        * character_value(lam, rho)
+        * character_value(mu, rho)
+        * character_value(nu, rho)
+        for rho in partitions_of(n)
+    )
+    value, remainder = divmod(total, factorial(n))
+    assert remainder == 0
+    return value
+
+
+def _lr_by_classes(lam, mu, tau):
+    """The per-class loop: the reference for the column-based lr_oracle."""
+    n = sum(lam)
+    total = sum(
+        class_size(rho)
+        * character_value(lam, rho)
+        * character_value(mu, rho)
+        * perm_character_value(tau, rho)
+        for rho in partitions_of(n)
+    )
+    value, remainder = divmod(total, factorial(n))
+    assert remainder == 0
+    return value
+
+
+def _weak_compositions(n, length):
+    if length == 1:
+        return [(n,)]
+    return [
+        (first,) + rest
+        for first in range(n + 1)
+        for rest in _weak_compositions(n - first, length - 1)
+    ]
+
+
+def test_column_matches_character_value():
+    for n in range(11):
+        classes = partitions_of(n)
+        for lam in classes:
+            column = _column(_beta_mask(lam), n)
+            assert len(column) == len(classes)
+            for rho, value in zip(classes, column):
+                assert value == character_value(lam, rho), (lam, rho)
+
+
+def test_g_oracle_matches_class_loop():
+    for n in range(8):
+        classes = partitions_of(n)
+        for lam in classes:
+            for mu in classes:
+                for nu in classes:
+                    assert g_oracle(lam, mu, nu) == _g_by_classes(lam, mu, nu), (lam, mu, nu)
+    # the shapes of the fewrow benchmark
+    shapes = [(m, m) for m in range(1, 21)] + [(m, m, m) for m in range(1, 8)]
+    for shape in shapes:
+        assert g_oracle(shape, shape, shape) == _g_by_classes(shape, shape, shape), shape
+
+
+def test_lr_oracle_matches_class_loop():
+    # every composition with up to n + 1 parts, so zero parts at any place
+    for n in range(6):
+        classes = partitions_of(n)
+        taus = [tau for length in range(1, n + 2) for tau in _weak_compositions(n, length)]
+        for lam in classes:
+            for mu in classes:
+                for tau in taus:
+                    assert lr_oracle(lam, mu, tau) == _lr_by_classes(lam, mu, tau), (lam, mu, tau)
