@@ -3,7 +3,8 @@
 Plain decimal output on a single line by default; ``--json`` switches to
 structured output.  Exit codes: 0 success, 1 internal failure (a broken
 invariant or assertion), 2 invalid input or an input too deep for the
-recursive search; failures print a one-line diagnostic on stderr.  The
+recursive search (one frame per free cell; refused before the search is
+planned); failures print a one-line diagnostic on stderr.  The
 global ``--threads`` option is accepted for compatibility and has no effect:
 every command runs serially.
 """

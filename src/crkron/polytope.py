@@ -4,7 +4,9 @@ A column-row polytope CR(lam, mu; tau) sits inside the 3-way transportation
 polytope T(lam, mu, tau).  Its extra constraints live on two flattenings of
 the p x q x r array X: the pr x q vertical stack of the level matrices
 (highest level on top) and the p x qr horizontal concatenation.  Both carry
-a vanishing staircase and a family of column/row prefix-sum inequalities.
+a vanishing staircase and a family of column/row prefix-sum inequalities,
+each side of which is a run of one column of its flattening: a family is
+compiled by mapping each column's cells to flat indices once and slicing.
 
 Counting is exhaustive: a depth-first assignment of entries, level by
 level from level 1 up, and within each level from its last cell (row p,
@@ -30,15 +32,18 @@ is counted once per search.  For the column-row families every
 straddling check is a whole row or column of the assigned levels on each
 side, so the residuals alone make the key.  The set-up that depends on
 the shape only (free cells, unit completions, checks by closing
-position, cuts) is built once per (p, q, r) and kept (``_plan``); the
-memo lives for one search, and subtrees on the union are counted by the
-same memo as whole polytopes.  Enumeration runs the same recursion with
-the memo off and sorts the points it finds.
+position, cuts) is built once per (p, q, r) and kept (``_plan``).  The
+search takes one frame per free cell, so ``_plan`` refuses a shape whose
+free cells reach the recursion limit with ``RecursionError`` before it
+analyses any check.  The memo lives for one search, and subtrees on the
+union are counted by the same memo as whole polytopes.  Enumeration runs
+the same recursion with the memo off and sorts the points it finds.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -220,19 +225,16 @@ def _row_cell(row: int, col: int, p: int, q: int, r: int) -> tuple[int, int, int
 
 
 def _canonicity(a: int, b: int):
-    """The main lemma's canonicity conditions on an a x b matrix, over cells.
+    """The main lemma's canonicity conditions on an a x b matrix.
 
     Returns ``(staircase, checks)``: the cells (i, j) with i + j > a + 1
     vanish, and check ``((j, i), lhs, rhs)`` asks that rows i .. a+1-j of
-    column j sum to at least rows i-1 .. a-j of column j+1.
+    column j sum to at least rows i-1 .. a-j of column j+1.  Each side is
+    a run ``(column, first row, last row)``.
     """
     staircase = tuple((i, j) for i in range(1, a + 1) for j in range(1, b + 1) if i + j > a + 1)
     checks = tuple(
-        (
-            (j, i),
-            tuple((row, j) for row in range(i, a + 2 - j)),
-            tuple((row, j + 1) for row in range(i - 1, a + 1 - j)),
-        )
+        ((j, i), (j, i, a + 1 - j), (j + 1, i - 1, a - j))
         for j in range(1, min(a, b))
         for i in range(2, a + 2 - j)
     )
@@ -248,15 +250,20 @@ class _Family(NamedTuple):
 
 
 def _family(a: int, b: int, flat: Callable[[int, int], int]) -> _Family:
-    """``_canonicity(a, b)`` with each matrix cell mapped through ``flat``."""
+    """``_canonicity(a, b)`` with each matrix cell mapped through ``flat``.
+
+    Each column's cells are mapped once; a run is a slice of its column.
+    """
     staircase, checks = _canonicity(a, b)
+    cols = [tuple(flat(row, j) for row in range(1, a + 1)) for j in range(1, b + 1)]
+
+    def run(j: int, first: int, last: int) -> tuple[int, ...]:
+        return cols[j - 1][first - 1 : last]
+
     return _Family(
-        tuple(flat(*cell) for cell in staircase),
+        tuple(cols[j - 1][i - 1] for i, j in staircase),
         tuple(label for label, _, _ in checks),
-        tuple(
-            (tuple(flat(*cell) for cell in lhs), tuple(flat(*cell) for cell in rhs))
-            for _, lhs, rhs in checks
-        ),
+        tuple((run(*lhs), run(*rhs)) for _, lhs, rhs in checks),
     )
 
 
@@ -429,19 +436,25 @@ class _Plan(NamedTuple):
 def _closing(pairs, plan_cells, pos_of: dict[int, int]) -> list:
     """Each ``(lhs, rhs)`` with the first and last positions of its free
     cells (None if it has none) and, per side, the sorted positions of its
-    free cells and the lines (0, row) or (1, column) that hold them all."""
+    free cells and the lines (0, row) or (1, column) that hold them all.
+    A side shared by several pairs is analysed once."""
     unit_of = [[cell[axis] for cell in plan_cells] for axis in (0, 1)]
+    free = pos_of.__contains__
+    known: dict[tuple[int, ...], tuple] = {}
     out = []
     for lhs, rhs in pairs:
         sides = []
         for side in (lhs, rhs):
-            at = sorted([pos for pos in map(pos_of.get, side) if pos is not None])
-            lines = []
-            for axis in (0, 1):
-                units = set(map(unit_of[axis].__getitem__, at))
-                if len(units) == 1:
-                    lines.append((axis, *units))
-            sides.append((at, lines))
+            info = known.get(side)
+            if info is None:
+                at = sorted(map(pos_of.__getitem__, filter(free, side)))
+                lines = []
+                for axis in (0, 1):
+                    units = set(map(unit_of[axis].__getitem__, at))
+                    if len(units) == 1:
+                        lines.append((axis, *units))
+                info = known[side] = (at, lines)
+            sides.append(info)
         live = sides[0][0] + sides[1][0]
         span = (min(live), max(live)) if live else (None, None)
         out.append((lhs, rhs, *span, sides))
@@ -457,12 +470,13 @@ def _straddling(closing: list, pos_of: dict[int, int], cut: int, before: Counter
     assigned before the cut (``before`` counts those per line).
     """
     parts = {}
+    counts = before.__getitem__
     for lhs, rhs, first, last, sides in closing:
         if first is None or not first < cut <= last:
             continue
         for at, lines in sides:
             n = bisect_left(at, cut)
-            if n and all(before[line] != n for line in lines):
+            if n and n not in map(counts, lines):
                 past = (
                     tuple(t for t in lhs if pos_of.get(t, cut) < cut),
                     tuple(t for t in rhs if pos_of.get(t, cut) < cut),
@@ -487,6 +501,10 @@ def _plan(p: int, q: int, r: int, transport_only: bool) -> _Plan:
         for idx in reversed(range(k * p * q, (k + 1) * p * q))
         if idx not in forced
     )
+    limit = sys.getrecursionlimit()
+    if len(free) >= limit:
+        # The search takes one frame per free cell, so it could not finish.
+        raise RecursionError(f"{len(free)} free cells, recursion limit {limit}")
     pos_of = {idx: pos for pos, idx in enumerate(free)}
     cells = tuple((idx // q % p, idx % q, idx // (p * q)) for idx in free)
 

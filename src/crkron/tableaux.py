@@ -173,14 +173,22 @@ def column_insertion_tableau(word: Iterable[int]) -> SkewTableau:
     return straight_tableau(rows)
 
 
+def _matrix_rows(matrix: Matrix) -> list[tuple[int, ...]]:
+    """The rows of a nonnegative integer matrix, checked to be one."""
+    rows = [tuple(row) for row in matrix]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("matrix rows must have equal length")
+    if any(x < 0 for row in rows for x in row):
+        raise ValueError("matrix entries must be nonnegative")
+    return rows
+
+
 def two_row_array(matrix: Matrix) -> tuple[Word, Word]:
     """Lexicographic two-row array (u, v) of a nonnegative integer matrix."""
     top: list[int] = []
     bottom: list[int] = []
-    for i, row in enumerate(matrix, start=1):
+    for i, row in enumerate(_matrix_rows(matrix), start=1):
         for j, mult in enumerate(row, start=1):
-            if mult < 0:
-                raise ValueError("matrix entries must be nonnegative")
             top.extend([i] * mult)
             bottom.extend([j] * mult)
     return tuple(top), tuple(bottom)
@@ -204,9 +212,10 @@ def main_lemma_conditions(matrix: Matrix) -> tuple[bool, bool]:
 
     Evaluated directly from the column and row canonicity families of the
     one-level column-row cone, never through RSK; the recording side is the
-    insertion side of the transpose.
+    insertion side of the transpose.  Like ``rsk``, rejects ragged rows and
+    negative entries with ``ValueError``.
     """
-    rows = [tuple(row) for row in matrix]
+    rows = _matrix_rows(matrix)
     entries = [x for row in rows for x in row]
     col_family, row_family = _compile_constraints(len(rows), len(rows[0]) if rows else 0, 1)
     return _holds(col_family, entries), _holds(row_family, entries)

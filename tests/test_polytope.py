@@ -461,3 +461,59 @@ def test_crsystem_validation_and_json():
     assert transport["transportOnly"] is True
     assert transport["vanishing"] == []
     assert transport["columnInequalities"] == [] and transport["rowInequalities"] == []
+
+
+def _reference_constraints(p, q, r):
+    """The column and row families built cell by cell, as a check on the
+    column-run compiler: each check side is listed row by row."""
+
+    def canonicity(a, b):
+        staircase = tuple((i, j) for i in range(1, a + 1) for j in range(1, b + 1) if i + j > a + 1)
+        checks = tuple(
+            (
+                (j, i),
+                tuple((row, j) for row in range(i, a + 2 - j)),
+                tuple((row, j + 1) for row in range(i - 1, a + 1 - j)),
+            )
+            for j in range(1, min(a, b))
+            for i in range(2, a + 2 - j)
+        )
+        return staircase, checks
+
+    def family(a, b, flat):
+        staircase, checks = canonicity(a, b)
+        return (
+            tuple(flat(*cell) for cell in staircase),
+            tuple(label for label, _, _ in checks),
+            tuple(
+                (tuple(flat(*cell) for cell in lhs), tuple(flat(*cell) for cell in rhs))
+                for _, lhs, rhs in checks
+            ),
+        )
+
+    def flat(i, j, k):
+        return ((k - 1) * p + (i - 1)) * q + (j - 1)
+
+    # Stack row s is row (s-1) % p + 1 of level r - (s-1) // p; concatenation
+    # column c is column (c-1) % q + 1 of level r - (c-1) // q.
+    return (
+        family(p * r, q, lambda s, j: flat((s - 1) % p + 1, j, r - (s - 1) // p)),
+        family(q * r, p, lambda c, i: flat(i, (c - 1) % q + 1, r - (c - 1) // q)),
+    )
+
+
+def test_compiled_constraints_match_cell_by_cell_reference():
+    for p in range(1, 7):
+        for q in range(1, 8):
+            for r in range(1, 7):
+                assert polytope._compile_constraints(p, q, r) == _reference_constraints(p, q, r), (p, q, r)
+
+
+def test_too_deep_input_fails_before_planning(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the depth guard comes before _closing")
+
+    monkeypatch.setattr(polytope, "_closing", fail)
+    twenties = (2,) * 20
+    with pytest.raises(RecursionError):
+        count_points(CRSystem(twenties, twenties, twenties))

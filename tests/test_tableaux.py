@@ -264,3 +264,11 @@ def test_lr_multitableau_validation():
     assert good.shape == (2, 1)
     with pytest.raises(ValueError):
         LRMultitableau((SkewTableau((2, 1), (1,), ((2,), (1,))),))  # chain must start at ()
+
+
+def test_malformed_matrices_are_rejected():
+    for matrix in ([[1, 0], [0]], [[1], [0, 2]], [[-1, 0], [0, 0]]):
+        with pytest.raises(ValueError):
+            main_lemma_conditions(matrix)
+        with pytest.raises(ValueError):
+            rsk(matrix)
