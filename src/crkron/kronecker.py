@@ -246,11 +246,18 @@ def face_F_minus(lam: Partition, mu: Partition, tau_bar: Composition, ell: int) 
     return FaceUnion(tuple(faces))
 
 
+def _check_face_ell(lam: Partition, ell: int) -> None:
+    """The face routes take 1 <= ell <= len(lam) of the normalized triple, and
+    ell = 1 when the triple is empty."""
+    top = max(len(lam), 1)
+    if not 1 <= ell <= top:
+        raise ValueError(f"ell = {ell} out of range [1, {top}]")
+
+
 def face_term_breakdown(lam: Partition, mu: Partition, nu: Partition, ell: int = 1) -> list[dict]:
     """Per-term audit of the face formula after normalizing the triple."""
     lam2, mu2, nu2, shortcut = normalize_triple(lam, mu, nu)
-    if not 1 <= ell <= len(lam2):
-        raise ValueError(f"ell = {ell} out of range [1, {len(lam2)}]")
+    _check_face_ell(lam2, ell)
     if shortcut:
         return []
     breakdown = []
@@ -275,8 +282,7 @@ def face_term_breakdown(lam: Partition, mu: Partition, nu: Partition, ell: int =
 def kron_via_faces(lam: Partition, mu: Partition, nu: Partition, ell: int = 1) -> int:
     """Kronecker coefficient from face counts alone (must match kron_via_cr)."""
     lam2, mu2, nu2, shortcut = normalize_triple(lam, mu, nu)
-    if not 1 <= ell <= max(len(lam2), 1):
-        raise ValueError(f"ell = {ell} out of range [1, {len(lam2)}]")
+    _check_face_ell(lam2, ell)
     if shortcut:
         return _shortcut_value(lam2, mu2, nu2)
     breakdown = face_term_breakdown(lam, mu, nu, ell)

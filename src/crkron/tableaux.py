@@ -19,6 +19,7 @@ from .partitions import (
     InvariantViolation,
     Partition,
     SizeMismatch,
+    composition,
     partition,
 )
 from .polytope import Tensor3, _compile_constraints, _holds
@@ -183,27 +184,24 @@ def _matrix_rows(matrix: Matrix) -> list[tuple[int, ...]]:
     return rows
 
 
-def two_row_array(matrix: Matrix) -> tuple[Word, Word]:
-    """Lexicographic two-row array (u, v) of a nonnegative integer matrix."""
-    top: list[int] = []
-    bottom: list[int] = []
+def _rsk_rows(matrix: Matrix) -> tuple[list[list[int]], list[list[int]]]:
+    """Entry rows of (P, Q) = RSK(matrix): each entry (i, j), rows in order,
+    row-inserts j as many times as it says and records i in the new box."""
+    p_rows: list[list[int]] = []
+    q_rows: list[list[int]] = []
     for i, row in enumerate(_matrix_rows(matrix), start=1):
         for j, mult in enumerate(row, start=1):
-            top.extend([i] * mult)
-            bottom.extend([j] * mult)
-    return tuple(top), tuple(bottom)
+            for _ in range(mult):
+                r = _row_insert(p_rows, j)[0]
+                if r == len(q_rows):
+                    q_rows.append([])
+                q_rows[r].append(i)
+    return p_rows, q_rows
 
 
 def rsk(matrix: Matrix) -> tuple[SkewTableau, SkewTableau]:
     """RSK correspondence: (insertion tableau P, recording tableau Q)."""
-    top, bottom = two_row_array(matrix)
-    p_rows: list[list[int]] = []
-    q_rows: list[list[int]] = []
-    for u, v in zip(top, bottom):
-        r, _ = _row_insert(p_rows, v)
-        if r == len(q_rows):
-            q_rows.append([])
-        q_rows[r].append(u)
+    p_rows, q_rows = _rsk_rows(matrix)
     return straight_tableau(p_rows), straight_tableau(q_rows)
 
 
@@ -253,24 +251,24 @@ class LRMultitableau:
         return [comp.to_json_dict() for comp in self.components]
 
 
-def _product_with_recording(tabs: Sequence[SkewTableau]) -> tuple[SkewTableau, LRMultitableau]:
-    """Column-insert the column words of ``tabs`` in order, recording new boxes.
+def _product_with_recording(levels: Sequence[list[list[int]]]) -> tuple[SkewTableau, LRMultitableau]:
+    """Column-insert the column words of straight tableaux in order, recording new boxes.
 
-    Step k column-inserts the letters of the column word of tabs[k] starting
-    from the word's end, and writes the letters of the canonical tableau's
-    column word (same order) into the boxes as they appear.
+    ``levels[k]`` holds the entry rows of the k-th tableau.  Step k reads its
+    column word from the end (columns right to left, each top down),
+    column-inserts each letter and writes the letter's row number into the
+    new box: that is the canonical tableau's letter in the same place.
     """
     rows: list[list[int]] = []
     components: list[SkewTableau] = []
     inner: Partition = ()
-    for tab in tabs:
-        gamma = tab.outer
-        letters = tab.col_word()[::-1]
-        recording = canonical_tableau(gamma).col_word()[::-1] if gamma else ()
+    for level in levels:
         new_boxes: dict[tuple[int, int], int] = {}
-        for v, u in zip(letters, recording):
-            box = _column_insert(rows, v)
-            new_boxes[box] = u
+        for j in reversed(range(len(level[0]) if level else 0)):
+            for i, row in enumerate(level, start=1):
+                if len(row) <= j:
+                    break
+                new_boxes[_column_insert(rows, row[j])] = i
         outer = partition(len(row) for row in rows)
         pad_inner = inner + (0,) * (len(outer) - len(inner))
         comp_rows = tuple(
@@ -285,19 +283,15 @@ def _product_with_recording(tabs: Sequence[SkewTableau]) -> tuple[SkewTableau, L
 def theorem41_map(tensor: Tensor3) -> tuple[SkewTableau, SkewTableau, LRMultitableau, LRMultitableau]:
     """Image (Q, P, T, S) of an integer tensor under the level-RSK bijection.
 
-    Each level matrix maps through RSK to a pair (P_k, Q_k); the P_k are
-    multiplied by column insertion with the canonical column words recorded
-    into the new boxes, giving (P, S), and the Q_k give (Q, T) the same way.
+    Each level matrix maps through RSK to the entry rows of a pair (P_k, Q_k);
+    the P_k are multiplied by column insertion with the canonical tableaux's
+    letters recorded into the new boxes, giving (P, S), and the Q_k give
+    (Q, T) the same way.  Only these four are built as validated tableaux.
     """
     _, _, r = tensor.dims
-    p_tabs: list[SkewTableau] = []
-    q_tabs: list[SkewTableau] = []
-    for k in range(1, r + 1):
-        pk, qk = rsk(tensor.level(k))
-        p_tabs.append(pk)
-        q_tabs.append(qk)
-    p_tab, s_multi = _product_with_recording(p_tabs)
-    q_tab, t_multi = _product_with_recording(q_tabs)
+    levels = [_rsk_rows(tensor.level(k)) for k in range(1, r + 1)]
+    p_tab, s_multi = _product_with_recording([p_rows for p_rows, _ in levels])
+    q_tab, t_multi = _product_with_recording([q_rows for _, q_rows in levels])
     return q_tab, p_tab, t_multi, s_multi
 
 
@@ -388,16 +382,18 @@ def _lr_multitableau_contents(lam: Partition, tau: Composition) -> tuple[tuple[t
 
 def count_lr_pairs(lam: Partition, mu: Partition, tau: Composition) -> int:
     """#LR(lam, mu; tau) by exhaustive enumeration of multitableau pairs."""
+    lam, mu, tau = partition(lam), partition(mu), composition(tau)
     if sum(lam) != sum(mu) or sum(lam) != sum(tau):
         raise SizeMismatch(f"sizes of {lam}, {mu}, {tau} differ")
-    left = dict(_lr_multitableau_contents(tuple(lam), tuple(tau)))
-    right = dict(_lr_multitableau_contents(tuple(mu), tuple(tau)))
+    left = dict(_lr_multitableau_contents(lam, tau))
+    right = dict(_lr_multitableau_contents(mu, tau))
     return sum(cnt * right.get(key, 0) for key, cnt in left.items())
 
 
 @lru_cache(maxsize=None)
 def kostka(gamma: Partition, tau: Composition) -> int:
     """Number of semistandard tableaux of shape ``gamma`` and content ``tau``."""
+    gamma, tau = partition(gamma), composition(tau)
     if sum(gamma) != sum(tau):
         raise SizeMismatch(f"|{gamma}| != |{tau}|")
     quota = list(tau)

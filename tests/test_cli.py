@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -56,6 +57,26 @@ def test_g_json_faces_terms_pinned(capsys):
         '{"countMinus": 7, "countPlus": 142, "sign": -1, "tau": [6, 1, 3], "tauBar": [7, 0, 3]}'
         '], "value": 117}\n'
     )
+
+
+def test_g_faces_json_on_empty_triple(capsys):
+    code, out, err = run_cli(
+        capsys, "g", "--lambda", "0", "--mu", "0", "--nu", "0", "--method", "faces", "--json"
+    )
+    assert (code, out, err) == (0, '{"method": "faces", "terms": [], "value": 1}\n', "")
+
+
+def test_readme_cli_examples(capsys):
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        lines = [line for line in handle if line.startswith("crkron ")]
+    assert lines
+    for line in lines:
+        command, _, comment = line.partition("#")
+        code, out, _ = run_cli(capsys, *shlex.split(command)[1:])
+        assert code == 0, line
+        if comment.strip().startswith("->"):
+            assert out == comment.strip()[2:].strip() + "\n", line
 
 
 def test_broken_invariant_exits_1(capsys, monkeypatch):

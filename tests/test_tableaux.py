@@ -3,11 +3,12 @@ from itertools import product
 import pytest
 
 from crkron.characters import lr_oracle
-from crkron.partitions import SizeMismatch, partitions_of
+from crkron.partitions import NotWeaklyDecreasing, SizeMismatch, partition, partitions_of
 from crkron.polytope import CRSystem, Tensor3, enumerate_points
 from crkron.tableaux import (
     LRMultitableau,
     SkewTableau,
+    _column_insert,
     canonical_tableau,
     column_insertion_tableau,
     count_lr_pairs,
@@ -272,3 +273,60 @@ def test_malformed_matrices_are_rejected():
             main_lemma_conditions(matrix)
         with pytest.raises(ValueError):
             rsk(matrix)
+
+
+def _reference_product(tabs):
+    """The level product written out from whole tableaux: column-insert each
+    column word from its end and record the canonical tableau's column word,
+    read the same way, into the new boxes."""
+    rows = []
+    components = []
+    inner = ()
+    for tab in tabs:
+        letters = tab.col_word()[::-1]
+        recording = canonical_tableau(tab.outer).col_word()[::-1] if tab.outer else ()
+        new_boxes = {}
+        for v, u in zip(letters, recording):
+            new_boxes[_column_insert(rows, v)] = u
+        outer = partition(len(row) for row in rows)
+        pad_inner = inner + (0,) * (len(outer) - len(inner))
+        comp_rows = tuple(
+            tuple(new_boxes[(i, j)] for j in range(pad_inner[i], outer[i]))
+            for i in range(len(outer))
+        )
+        components.append(SkewTableau(outer, inner, comp_rows))
+        inner = outer
+    return straight_tableau(rows), LRMultitableau(tuple(components))
+
+
+def _reference_map(tensor):
+    pairs = [rsk(tensor.level(k)) for k in range(1, tensor.dims[2] + 1)]
+    p_tab, s_multi = _reference_product([pk for pk, _ in pairs])
+    q_tab, t_multi = _reference_product([qk for _, qk in pairs])
+    return q_tab, p_tab, t_multi, s_multi
+
+
+def test_theorem41_map_matches_reference_product():
+    checked = 0
+    for n in range(1, 5):
+        for lam, mu, tau in product(partitions_of(n), repeat=3):
+            for transport_only in (False, True):
+                for point in enumerate_points(CRSystem(lam, mu, tau, transport_only=transport_only)):
+                    assert theorem41_map(point) == _reference_map(point), point
+                    checked += 1
+    assert checked == 4836
+
+
+def test_lr_enumeration_checks_its_inputs():
+    with pytest.raises(ValueError, match="negative part"):
+        kostka((2, 1), (-1, 4))
+    with pytest.raises(ValueError, match="negative part"):
+        kostka((3,), (-1, 4))
+    with pytest.raises(NotWeaklyDecreasing):
+        kostka((1, 2), (2, 1))
+    with pytest.raises(ValueError, match="negative part"):
+        count_lr_pairs((2, 1), (2, 1), (-1, 4))
+    with pytest.raises(NotWeaklyDecreasing):
+        count_lr_pairs((1, 2), (2, 1), (3,))
+    # zero parts keep their meaning
+    assert count_lr_pairs((2, 1), (2, 1), (0, 3)) == lr_oracle((2, 1), (2, 1), (0, 3)) == 1
