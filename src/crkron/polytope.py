@@ -16,36 +16,35 @@ canonicity check reads a lower run of a column (or a right run of a row)
 of its highest level plus cells of the levels below, so in this order it
 closes as soon as that lower-right block of its level is filled, not in
 the level's last row.  A union of faces is counted by the same recursion,
-with each face compiled to a linear form that is 0 exactly on it: each
-form is decided at its last free cell, a flag ``hit`` marks the branches
-already on the union, and a branch is cut once every form is decided
-nonzero.  No floating point anywhere; rational data uses
-``fractions.Fraction``.
+with each face compiled to a linear form that is 0 exactly on it: a single
+cell, or the compiled check whose tightness the face names.  Each form is
+decided at its last free cell, a flag ``hit`` marks the branches already
+on the union, and a branch is cut once every form is decided nonzero.  No
+floating point anywhere; rational data uses ``fractions.Fraction``.
 
 The search is exact but does not visit every point when it only counts.
-At the first free cell of each level it looks up its state: the position,
-the row and column residuals, and the partial sums of the checks (and
-face forms) with free cells on both sides of that cut.  The level
-residuals need no place in the key: at a cut the earlier levels are full
-and the later ones untouched.  Equal states have equal subtrees, so each
-is counted once per search.  For the column-row families every
-straddling check is a whole row or column of the assigned levels on each
-side, so the residuals alone make the key.  The set-up that depends on
-the shape only (free cells, unit completions, checks by closing
+At the first free cell of each level it looks up its state: the position
+and the row and column residuals.  The level residuals need no place in
+the key: at a cut the earlier levels are full and the later ones
+untouched.  Nor do the checks and forms: each side of one is a single
+cell or a bottom run of one stack column or one concatenation row, so the
+part of it assigned before a cut is empty or a whole column (or row) of
+the earlier levels, and the residuals fix its sum.  Equal states have
+equal subtrees, so each is counted once per search.  The set-up that
+depends on the shape only (free cells, unit completions, checks by closing
 position, cuts) is built once per (p, q, r) and kept (``_plan``).  The
-search takes one frame per free cell, so ``_plan`` refuses a shape whose
-free cells reach the recursion limit with ``RecursionError`` before it
-analyses any check.  The memo lives for one search, and subtrees on the
-union are counted by the same memo as whole polytopes.  Enumeration runs
-the same recursion with the memo off and sorts the points it finds.
+search takes one frame per free cell, so ``_plan`` counts the free cells
+from the two staircases and refuses a shape whose free cells reach the
+recursion limit with ``RecursionError`` before it compiles any check.  The
+memo lives for one search, and subtrees on the union are counted by the
+same memo as whole polytopes.  Enumeration runs the same recursion with
+the memo off and sorts the points it finds.
 """
 
 from __future__ import annotations
 
 import random
 import sys
-from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -136,16 +135,6 @@ class Tensor3:
             )
         )
 
-    def __sub__(self, other: "Tensor3") -> "Tensor3":
-        if self.dims != other.dims:
-            raise SizeMismatch(f"dims {self.dims} != {other.dims}")
-        return Tensor3(
-            tuple(
-                tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(la, lb))
-                for la, lb in zip(self.levels, other.levels)
-            )
-        )
-
     def is_nonnegative(self) -> bool:
         return all(x >= 0 for level in self.levels for row in level for x in row)
 
@@ -224,21 +213,25 @@ def _row_cell(row: int, col: int, p: int, q: int, r: int) -> tuple[int, int, int
     return row, j, k
 
 
-def _canonicity(a: int, b: int):
-    """The main lemma's canonicity conditions on an a x b matrix.
+def _staircase(a: int, b: int) -> tuple[tuple[int, int], ...]:
+    """The cells (i, j) of an a x b matrix with i + j > a + 1: the main
+    lemma's canonicity conditions make them vanish."""
+    return tuple((i, j) for i in range(1, a + 1) for j in range(1, b + 1) if i + j > a + 1)
 
-    Returns ``(staircase, checks)``: the cells (i, j) with i + j > a + 1
-    vanish, and check ``((j, i), lhs, rhs)`` asks that rows i .. a+1-j of
-    column j sum to at least rows i-1 .. a-j of column j+1.  Each side is
-    a run ``(column, first row, last row)``.
+
+def _canonicity(a: int, b: int):
+    """The main lemma's prefix checks on an a x b matrix.
+
+    Check ``((j, i), lhs, rhs)`` asks that rows i .. a+1-j of column j sum
+    to at least rows i-1 .. a-j of column j+1.  Each side is a run
+    ``(column, first row, last row)`` that ends at the last cell of its
+    column above the staircase.
     """
-    staircase = tuple((i, j) for i in range(1, a + 1) for j in range(1, b + 1) if i + j > a + 1)
-    checks = tuple(
+    return tuple(
         ((j, i), (j, i, a + 1 - j), (j + 1, i - 1, a - j))
         for j in range(1, min(a, b))
         for i in range(2, a + 2 - j)
     )
-    return staircase, checks
 
 
 class _Family(NamedTuple):
@@ -250,20 +243,30 @@ class _Family(NamedTuple):
 
 
 def _family(a: int, b: int, flat: Callable[[int, int], int]) -> _Family:
-    """``_canonicity(a, b)`` with each matrix cell mapped through ``flat``.
+    """``_staircase(a, b)`` and ``_canonicity(a, b)`` with each matrix cell
+    mapped through ``flat``.
 
     Each column's cells are mapped once; a run is a slice of its column.
     """
-    staircase, checks = _canonicity(a, b)
+    checks = _canonicity(a, b)
     cols = [tuple(flat(row, j) for row in range(1, a + 1)) for j in range(1, b + 1)]
 
     def run(j: int, first: int, last: int) -> tuple[int, ...]:
         return cols[j - 1][first - 1 : last]
 
     return _Family(
-        tuple(cols[j - 1][i - 1] for i, j in staircase),
+        tuple(cols[j - 1][i - 1] for i, j in _staircase(a, b)),
         tuple(label for label, _, _ in checks),
         tuple((run(*lhs), run(*rhs)) for _, lhs, rhs in checks),
+    )
+
+
+def _flatteners(p: int, q: int, r: int):
+    """Flat index of cell (row, j) of the pr x q stack and of cell (col, i)
+    of the transposed p x qr concatenation."""
+    return (
+        lambda row, j: _flat(*_col_cell(row, j, p, q, r), p, q),
+        lambda col, i: _flat(*_row_cell(i, col, p, q, r), p, q),
     )
 
 
@@ -271,10 +274,17 @@ def _family(a: int, b: int, flat: Callable[[int, int], int]) -> _Family:
 def _compile_constraints(p: int, q: int, r: int) -> tuple[_Family, _Family]:
     """Column and row families of the (p, q, r) column-row cone: canonicity
     of the pr x q stack and of the transposed p x qr concatenation."""
-    return (
-        _family(p * r, q, lambda row, j: _flat(*_col_cell(row, j, p, q, r), p, q)),
-        _family(q * r, p, lambda col, i: _flat(*_row_cell(i, col, p, q, r), p, q)),
-    )
+    by_col, by_row = _flatteners(p, q, r)
+    return _family(p * r, q, by_col), _family(q * r, p, by_row)
+
+
+def _forced(p: int, q: int, r: int) -> set[int]:
+    """Flat indices of both families' vanishing cells, read from the two
+    staircases alone: no check is compiled."""
+    by_col, by_row = _flatteners(p, q, r)
+    return {by_col(*cell) for cell in _staircase(p * r, q)} | {
+        by_row(*cell) for cell in _staircase(q * r, p)
+    }
 
 
 def _holds(family: _Family, entries: Sequence[Number]) -> bool:
@@ -291,6 +301,12 @@ def _face_forms(face: FacePredicate, p: int, q: int, r: int) -> tuple:
     On the cone sum(lhs) >= sum(rhs); a point lies on the face (on some
     member, for a union) where sum(lhs) == sum(rhs).  The diagonal value
     x_d of the first level is its cell (1, d, 1), which needs p <= q.
+    ``ColTight(j, t)`` is the column family's check labelled
+    (j, p(r-1)+2-t) and ``RowTight(i, s)`` the row family's check labelled
+    (i, q(r-1)+2-s).  On the cone each equals the slack of its inequality,
+    x_j + S_{j,t-1} - S_{j+1,t} for C(j, t): both read the same cells of
+    the higher levels, and the check's two level-1 runs, level 1 being
+    diagonal-constant, differ by exactly x_j.
     """
     if isinstance(face, FaceUnion):
         return tuple(form for member in face.faces for form in _face_forms(member, p, q, r))
@@ -305,16 +321,15 @@ def _face_forms(face: FacePredicate, p: int, q: int, r: int) -> tuple:
     if isinstance(face, DiagZero):
         if not 1 <= face.index <= p:
             raise ValueError(f"{face} out of range [1, {p}]")
-        lhs, rhs = [(1, face.index, 1)], []
-    elif isinstance(face, ColTight):
+        return (((_flat(1, face.index, 1, p, q),), ()),)
+    col_family, row_family = _compile_constraints(p, q, r)
+    if isinstance(face, ColTight):
         _check_col_ineq(face.j, face.t, p, q, r)
-        lhs = [(1, face.j, 1)] + _col_prefix_cells(face.j, face.t - 1, p)
-        rhs = _col_prefix_cells(face.j + 1, face.t, p)
+        family, label = col_family, (face.j, p * (r - 1) + 2 - face.t)
     else:
         _check_row_ineq(face.i, face.s, p, q, r)
-        lhs = [(1, face.i, 1)] + _row_prefix_cells(face.i, face.s - 1, q)
-        rhs = _row_prefix_cells(face.i + 1, face.s, q)
-    return ((tuple(_flat(*c, p, q) for c in lhs), tuple(_flat(*c, p, q) for c in rhs)),)
+        family, label = row_family, (face.i, q * (r - 1) + 2 - face.s)
+    return (family.checks[family.labels.index(label)],)
 
 
 class CRSystem:
@@ -345,16 +360,24 @@ class CRSystem:
         self.q = len(self.mu)
         self.r = len(self.tau)
         self.transport_only = bool(transport_only)
-        self._families = () if self.transport_only else _compile_constraints(self.p, self.q, self.r)
-        self.column_inequalities, self.row_inequalities = (
-            tuple(family.labels for family in self._families) or ((), ())
-        )
+
+    @property
+    def column_inequalities(self) -> tuple[tuple[int, int], ...]:
+        """Labels (j, i) of the column family's checks.  The families are
+        compiled on first use, so a shape too deep to search is refused
+        before any check is compiled."""
+        return () if self.transport_only else _compile_constraints(self.p, self.q, self.r)[0].labels
+
+    @property
+    def row_inequalities(self) -> tuple[tuple[int, int], ...]:
+        """Labels (i, s) of the row family's checks."""
+        return () if self.transport_only else _compile_constraints(self.p, self.q, self.r)[1].labels
 
     @property
     def vanishing(self) -> frozenset[tuple[int, int, int]]:
         """Cells (i, j, k) that either staircase forces to 0."""
         p, q = self.p, self.q
-        flat = {t for family in self._families for t in family.vanishing}
+        flat = () if self.transport_only else _forced(p, q, self.r)
         return frozenset((t // q % p + 1, t % q + 1, t // (p * q) + 1) for t in flat)
 
     @property
@@ -419,9 +442,8 @@ class _Plan(NamedTuple):
     ``pos_of`` the position of each free flat index, ``idle`` the units
     (axis, index) with no free cell, ``finals`` the units whose last free
     cell each position is, ``checks_at`` the checks that close at each
-    position, and ``cuts`` holds, at the first free cell of every level
-    after the first (None elsewhere), the assigned parts of the checks
-    that straddle it (see ``_straddling``).
+    position, and ``cuts`` the positions of the first free cell of every
+    level after the first, where the search looks up its memo.
     """
 
     free: tuple[int, ...]
@@ -430,71 +452,20 @@ class _Plan(NamedTuple):
     idle: tuple[tuple[int, int], ...]
     finals: tuple[tuple[tuple[int, int], ...], ...]
     checks_at: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...]
-    cuts: tuple
+    cuts: frozenset[int]
 
 
-def _closing(pairs, plan_cells, pos_of: dict[int, int]) -> list:
-    """Each ``(lhs, rhs)`` with the first and last positions of its free
-    cells (None if it has none) and, per side, the sorted positions of its
-    free cells and the lines (0, row) or (1, column) that hold them all.
-    A side shared by several pairs is analysed once."""
-    unit_of = [[cell[axis] for cell in plan_cells] for axis in (0, 1)]
-    free = pos_of.__contains__
-    known: dict[tuple[int, ...], tuple] = {}
-    out = []
-    for lhs, rhs in pairs:
-        sides = []
-        for side in (lhs, rhs):
-            info = known.get(side)
-            if info is None:
-                at = sorted(map(pos_of.__getitem__, filter(free, side)))
-                lines = []
-                for axis in (0, 1):
-                    units = set(map(unit_of[axis].__getitem__, at))
-                    if len(units) == 1:
-                        lines.append((axis, *units))
-                info = known[side] = (at, lines)
-            sides.append(info)
-        live = sides[0][0] + sides[1][0]
-        span = (min(live), max(live)) if live else (None, None)
-        out.append((lhs, rhs, *span, sides))
-    return out
-
-
-def _straddling(closing: list, pos_of: dict[int, int], cut: int, before: Counter) -> tuple:
-    """The parts before position ``cut`` of the pairs with free cells on
-    both sides of it: their sums are all the search needs of the past.
-
-    Each part is listed once, and left out where the residuals already fix
-    it: when each side is empty or a whole row or column of the cells
-    assigned before the cut (``before`` counts those per line).
-    """
-    parts = {}
-    counts = before.__getitem__
-    for lhs, rhs, first, last, sides in closing:
-        if first is None or not first < cut <= last:
-            continue
-        for at, lines in sides:
-            n = bisect_left(at, cut)
-            if n and n not in map(counts, lines):
-                past = (
-                    tuple(t for t in lhs if pos_of.get(t, cut) < cut),
-                    tuple(t for t in rhs if pos_of.get(t, cut) < cut),
-                )
-                parts[past] = None
-                break
-    return tuple(parts)
-
-
-def _before(plan_cells, cut: int) -> Counter:
-    """Free cells before position ``cut`` on each row (0, i) and column (1, j)."""
-    return Counter(line for i, j, _ in plan_cells[:cut] for line in ((0, i), (1, j)))
+def _closing(pairs, pos_of: dict[int, int]) -> list:
+    """Each ``(lhs, rhs)`` with the position of its last free cell, -1 if it
+    has none.  A side shared by several pairs is read once."""
+    sides = {side for pair in pairs for side in pair}
+    last = {side: max([pos_of.get(t, -1) for t in side], default=-1) for side in sides}
+    return [(pair, max(last[pair[0]], last[pair[1]])) for pair in pairs]
 
 
 @lru_cache(maxsize=None)
 def _plan(p: int, q: int, r: int, transport_only: bool) -> _Plan:
-    families = () if transport_only else _compile_constraints(p, q, r)
-    forced = {t for family in families for t in family.vanishing}
+    forced = set() if transport_only else _forced(p, q, r)
     free = tuple(
         idx
         for k in range(r)
@@ -518,17 +489,11 @@ def _plan(p: int, q: int, r: int, transport_only: bool) -> _Plan:
             else:
                 idle.append((axis, unit))
 
-    closing = _closing([check for family in families for check in family.checks], cells, pos_of)
+    families = () if transport_only else _compile_constraints(p, q, r)
     checks_at: list[list] = [[] for _ in free]
-    for lhs, rhs, _, last, _ in closing:
-        if last is not None:
-            checks_at[last].append((lhs, rhs))
-
-    cuts: list = [None] * len(free)
-    for level in range(1, r):
-        first = next((pos for pos, cell in enumerate(cells) if cell[2] >= level), None)
-        if first is not None and cuts[first] is None and first > 0:
-            cuts[first] = _straddling(closing, pos_of, first, _before(cells, first))
+    for pair, last_pos in _closing([check for family in families for check in family.checks], pos_of):
+        if last_pos >= 0:
+            checks_at[last_pos].append(pair)
     return _Plan(
         free,
         cells,
@@ -536,32 +501,26 @@ def _plan(p: int, q: int, r: int, transport_only: bool) -> _Plan:
         tuple(idle),
         tuple(map(tuple, finals)),
         tuple(map(tuple, checks_at)),
-        tuple(cuts),
+        frozenset(pos for pos in range(1, len(cells)) if cells[pos][2] != cells[pos - 1][2]),
     )
 
 
 @lru_cache(maxsize=None)
 def _form_plan(forms: tuple, p: int, q: int, r: int, transport_only: bool):
-    """Face forms on a shape's plan: ``(forms_at, last, parts)``.
+    """Face forms on a shape's plan: ``(forms_at, last)``.
 
     Each form is decided where its last free cell is assigned (``forms_at``;
-    ``last`` is the last such position), and ``parts`` holds, at each cut,
-    the parts of the undecided forms that straddle it.  None when a form has
-    no free cell: it is 0 everywhere, so the whole polytope counts.
+    ``last`` is the last such position).  None when a form has no free cell:
+    it is 0 everywhere, so the whole polytope counts.
     """
     plan = _plan(p, q, r, transport_only)
-    closing = _closing(forms, plan.cells, plan.pos_of)
-    if any(last is None for _, _, _, last, _ in closing):
+    closing = _closing(forms, plan.pos_of)
+    if any(last_pos < 0 for _, last_pos in closing):
         return None
     forms_at: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [[] for _ in plan.free]
-    for lhs, rhs, _, last, _ in closing:
-        forms_at[last].append((lhs, rhs))
-    last = max((pos for pos, decided in enumerate(forms_at) if decided), default=-1)
-    parts = tuple(
-        None if cut is None else _straddling(closing, plan.pos_of, pos, _before(plan.cells, pos))
-        for pos, cut in enumerate(plan.cuts)
-    )
-    return tuple(map(tuple, forms_at)), last, parts
+    for pair, last_pos in closing:
+        forms_at[last_pos].append(pair)
+    return tuple(map(tuple, forms_at)), max((pos for _, pos in closing), default=-1)
 
 
 def _search(
@@ -579,12 +538,15 @@ def _search(
     ``_Plan``): levels in turn, each from its last cell back, so that a
     check, which reads a suffix of rows or columns of a level, prunes as
     soon as that suffix is filled.  When counting, each subtree is counted
-    once per state at the first free cell of every level: the position,
-    the row and column residuals and the partial sums of the checks (and,
-    off the union, of the undecided forms) that straddle the cut decide
-    the rest of the search.  Subtrees on the union share one memo, the
-    others keep their own.  With ``on_solution`` the memo is off and every
-    point reaches it, in search order.
+    once per state at the first free cell of every level: the position and
+    the row and column residuals decide the rest of the search.  That key
+    is exact because every check and every form is a single cell or has
+    sides that are bottom runs of one stack column or one concatenation
+    row, so at a level cut the assigned part of a side is empty or a whole
+    row or column of the assigned levels, whose sum the residuals fix.
+    Subtrees on the union share one memo, the others keep their own.  With
+    ``on_solution`` the memo is off and every point reaches it, in search
+    order.
     """
     p, q, r = system.dims
     plan = _plan(p, q, r, system.transport_only)
@@ -593,12 +555,12 @@ def _search(
         return 0
     form_plan = None if forms is None else _form_plan(forms, p, q, r, system.transport_only)
     # Without forms (or with one that is 0 everywhere) every branch is on the union.
-    forms_at, last, form_parts = form_plan or ((), 0, ())
+    forms_at, last = form_plan or ((), 0)
     if last < 0:
         return 0
     free_cells, cells, unit_last, checks_at = plan.free, plan.cells, plan.finals, plan.checks_at
     n_free = len(free_cells)
-    cuts = plan.cuts if on_solution is None else (None,) * n_free
+    cuts = plan.cuts if on_solution is None else frozenset()
     plain_memo: dict[tuple, int] = {}
     face_memo: dict[tuple, int] = {}
 
@@ -614,19 +576,10 @@ def _search(
             if on_solution is not None:
                 on_solution(entries)
             return 1
-        cut = cuts[pos]
-        if cut is not None:
-            key = (
-                pos,
-                *row_rem,
-                *col_rem,
-                *[sum(map(get, lhs)) - sum(map(get, rhs)) for lhs, rhs in cut],
-            )
-            if hit:
-                memo = plain_memo
-            else:
-                memo = face_memo
-                key += tuple(sum(map(get, lhs)) - sum(map(get, rhs)) for lhs, rhs in form_parts[pos])
+        cut = pos in cuts
+        if cut:
+            key = (pos, *row_rem, *col_rem)
+            memo = plain_memo if hit else face_memo
             found = memo.get(key)
             if found is not None:
                 return found
@@ -670,7 +623,7 @@ def _search(
             col_rem[j] += v
             lev_rem[k] += v
         entries[idx] = 0
-        if cut is not None:
+        if cut:
             memo[key] = total
         return total
 
@@ -742,24 +695,6 @@ def diag_values(tensor: Tensor3) -> tuple[Number, ...]:
     return tuple(level1[0][d] for d in range(p))
 
 
-def _col_prefix_cells(j: int, t: int, p: int) -> list[tuple[int, int, int]]:
-    """Cells of S^c_{j,t}: first t entries of column j of the reduced stack, bottom up."""
-    if t == 0:
-        return []
-    c, d = divmod(t - 1, p)
-    cells = [(i, j, k + 1) for k in range(1, c + 1) for i in range(1, p + 1)]
-    return cells + [(i, j, c + 2) for i in range(p - d, p + 1)]
-
-
-def _row_prefix_cells(i: int, s: int, q: int) -> list[tuple[int, int, int]]:
-    """Cells of S^r_{i,s}: first s entries of row i of the reduced concatenation."""
-    if s == 0:
-        return []
-    e, f = divmod(s - 1, q)
-    cells = [(i, j, k + 1) for k in range(1, e + 1) for j in range(1, q + 1)]
-    return cells + [(i, j, e + 2) for j in range(q - f, q + 1)]
-
-
 def _check_col_ineq(j: int, t: int, p: int, q: int, r: int) -> None:
     if not 1 <= j <= p:
         raise ValueError(f"j = {j} out of range [1, {p}]")
@@ -776,32 +711,32 @@ def _check_row_ineq(i: int, s: int, p: int, q: int, r: int) -> None:
         raise ValueError(f"s = {s} out of range [1, {q * (r - 1)}]")
 
 
-def _cells_sum(tensor: Tensor3, cells: Iterable[tuple[int, int, int]]) -> Number:
-    return sum(tensor.entry(*cell) for cell in cells)
+def _slack(tensor: Tensor3, face: ColTight | RowTight) -> Number:
+    """sum(lhs) - sum(rhs) of the face's compiled check (see ``_face_forms``)."""
+    ((lhs, rhs),) = _face_forms(face, *tensor.dims)
+    entries = _flat_entries(tensor)
+    return sum(entries[t] for t in lhs) - sum(entries[t] for t in rhs)
 
 
 def col_ineq_slack(tensor: Tensor3, j: int, t: int) -> Number:
-    """Slack of the column inequality C(j, t): x_j + S^c_{j,t-1} - S^c_{j+1,t}."""
-    p, q, r = tensor.dims
-    _check_col_ineq(j, t, p, q, r)
-    x = diag_values(tensor)
-    return (
-        x[j - 1]
-        + _cells_sum(tensor, _col_prefix_cells(j, t - 1, p))
-        - _cells_sum(tensor, _col_prefix_cells(j + 1, t, p))
-    )
+    """Slack of the column inequality C(j, t): x_j + S^c_{j,t-1} - S^c_{j+1,t}.
+
+    Raises ``NotDiagConstant`` unless level 1 has the cone's diagonal form,
+    on which the compiled check equals that slack.
+    """
+    _check_col_ineq(j, t, *tensor.dims)
+    diag_values(tensor)
+    return _slack(tensor, ColTight(j, t))
 
 
 def row_ineq_slack(tensor: Tensor3, i: int, s: int) -> Number:
-    """Slack of the row inequality R(i, s): x_i + S^r_{i,s-1} - S^r_{i+1,s}."""
-    p, q, r = tensor.dims
-    _check_row_ineq(i, s, p, q, r)
-    x = diag_values(tensor)
-    return (
-        x[i - 1]
-        + _cells_sum(tensor, _row_prefix_cells(i, s - 1, q))
-        - _cells_sum(tensor, _row_prefix_cells(i + 1, s, q))
-    )
+    """Slack of the row inequality R(i, s): x_i + S^r_{i,s-1} - S^r_{i+1,s}.
+
+    Raises ``NotDiagConstant`` as ``col_ineq_slack`` does.
+    """
+    _check_row_ineq(i, s, *tensor.dims)
+    diag_values(tensor)
+    return _slack(tensor, RowTight(i, s))
 
 
 # --- cone dimension, hypercube samples, affine rank ------------------------

@@ -390,16 +390,20 @@ def count_lr_pairs(lam: Partition, mu: Partition, tau: Composition) -> int:
     return sum(cnt * right.get(key, 0) for key, cnt in left.items())
 
 
-@lru_cache(maxsize=None)
 def kostka(gamma: Partition, tau: Composition) -> int:
     """Number of semistandard tableaux of shape ``gamma`` and content ``tau``."""
     gamma, tau = partition(gamma), composition(tau)
     if sum(gamma) != sum(tau):
         raise SizeMismatch(f"|{gamma}| != |{tau}|")
+    return _kostka(gamma, tau)
+
+
+@lru_cache(maxsize=None)
+def _kostka(gamma: Partition, tau: Composition) -> int:
+    """``kostka`` of a validated shape and content."""
     quota = list(tau)
     cells = [(i, j) for i in range(len(gamma)) for j in range(gamma[i])]
     grid: dict[tuple[int, int], int] = {}
-    total = 0
 
     def fill(pos: int) -> int:
         if pos == len(cells):
@@ -421,5 +425,4 @@ def kostka(gamma: Partition, tau: Composition) -> int:
         grid.pop((i, j), None)
         return found
 
-    total = fill(0)
-    return total
+    return fill(0)

@@ -8,6 +8,8 @@ from fractions import Fraction
 from itertools import product
 from math import factorial
 
+import pytest
+
 from crkron.characters import class_size, g_oracle, lr_oracle, perm_character_value
 from crkron.cli import main as cli_main
 from crkron.kronecker import (
@@ -118,6 +120,7 @@ def _canonical_or_none(sums):
     return canonical_tableau(tuple(stripped))
 
 
+@pytest.mark.slow
 def test_criterion_4_main_lemma_exhaustive():
     checked = 0
     for p in range(1, 4):

@@ -30,6 +30,8 @@ from crkron.polytope import (
     DiagZero,
     EntryZero,
     FaceUnion,
+    RowTight,
+    Tensor3,
     col_ineq_slack,
     count_points,
     diag_values,
@@ -204,6 +206,11 @@ def test_z_matrix_marginals():
             assert levs == (-1, 1, 0)
 
 
+def _negated(tensor):
+    """-tensor, entry by entry: adding it subtracts ``tensor``."""
+    return Tensor3.from_levels([[[-x for x in row] for row in level] for level in tensor.levels])
+
+
 def test_phi_ell_shifts_level_sums_only():
     system = CRSystem((2, 1), (2, 1), (1, 1, 1))
     shifted_any = False
@@ -217,7 +224,7 @@ def test_phi_ell_shifts_level_sums_only():
         rows2, cols2, levs2 = shifted.marginals()
         assert (rows2, cols2) == (rows, cols)
         assert levs2 == (levs[0] - 1, levs[1] + 1, levs[2])
-        assert shifted - z_matrix(1, *point.dims) == point
+        assert shifted + _negated(z_matrix(1, *point.dims)) == point
     assert shifted_any
 
 
@@ -250,13 +257,14 @@ def test_face_counts_match_shift_brute_force():
                         sys_bar = CRSystem(lam2, mu2, term.tau_bar)
                         for ell in range(1, p + 1):
                             z = z_matrix(ell, p, q, len(term.tau))
+                            minus_z = _negated(z)
                             plus = count_points(sys_tau, face_F_plus(lam2, mu2, term.tau, ell))
                             brute_plus = sum(
                                 1
                                 for point in enumerate_points(sys_tau)
                                 if not (
-                                    (point - z).is_nonnegative()
-                                    and is_member(point - z, sys_bar)
+                                    (point + minus_z).is_nonnegative()
+                                    and is_member(point + minus_z, sys_bar)
                                 )
                             )
                             assert plus == brute_plus
@@ -288,7 +296,8 @@ def _on_face(point, face) -> bool:
 
 
 def test_face_counts_match_slack_filter():
-    # the in-search union count against a filter over every enumerated point
+    # the in-search union count against a filter over every enumerated point,
+    # for the F+- unions and for every single C(j, t) and R(i, s) in range
     normalized = set()
     for n in range(2, 6):
         for lam in partitions_of(n):
@@ -308,6 +317,11 @@ def test_face_counts_match_slack_filter():
                     assert face_hit_counts(system, union) == tuple(
                         sum(_on_face(x, face) for x in points) for face in union.faces
                     )
+                p, q, r = system.dims
+                singles = [ColTight(j, t) for j in range(1, p + (p < q)) for t in range(1, p * (r - 1) + 1)]
+                singles += [RowTight(i, s) for i in range(1, p) for s in range(1, q * (r - 1) + 1)]
+                for face in singles:
+                    assert count_points(system, face) == sum(_on_face(x, face) for x in points), (system, face)
 
 
 def test_per_term_cancellation_identity():

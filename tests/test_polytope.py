@@ -13,6 +13,7 @@ from crkron.polytope import (
     EntryZero,
     FaceUnion,
     NotDiagConstant,
+    RowTight,
     Tensor3,
     affine_rank,
     build_hypercube_point,
@@ -151,6 +152,7 @@ def _assert_count_is_enumeration(system):
     assert all(a < b for a, b in zip(flats, flats[1:])), system
 
 
+@pytest.mark.slow
 def test_memoized_count_matches_enumeration_n5():
     # counting memoizes at level boundaries, enumeration visits every point
     # in order; a zero part puts an empty level beside a boundary.  Transport
@@ -315,6 +317,30 @@ def test_row_ineq_slack_examples():
             assert row_ineq_slack(zero, i, s) == 0
     with pytest.raises(ValueError):
         row_ineq_slack(tensor, 3, 1)
+
+
+def test_slacks_match_prefix_sum_definition():
+    # S^c_{j,t}: the first t entries of column j of the stack of levels
+    # 2..r, read bottom up; S^r_{i,s}: the first s entries of row i of their
+    # concatenation, read right to left.  The slacks read compiled checks.
+    for p in range(1, 5):
+        for q in range(p, 7):
+            for r in range(2, 5):
+                tensor, xs = _random_cr_shaped_tensor(p, q, r, seed=100 * p + 10 * q + r)
+                col = lambda j, t: sum(
+                    [tensor.entry(i, j, k) for k in range(2, r + 1) for i in range(p, 0, -1)][:t]
+                )
+                row = lambda i, s: sum(
+                    [tensor.entry(i, j, k) for k in range(2, r + 1) for j in range(q, 0, -1)][:s]
+                )
+                for j in range(1, p + (p < q)):
+                    for t in range(1, p * (r - 1) + 1):
+                        want = xs[j - 1] + col(j, t - 1) - col(j + 1, t)
+                        assert col_ineq_slack(tensor, j, t) == want, (p, q, r, j, t)
+                for i in range(1, p):
+                    for s in range(1, q * (r - 1) + 1):
+                        want = xs[i - 1] + row(i, s - 1) - row(i + 1, s)
+                        assert row_ineq_slack(tensor, i, s) == want, (p, q, r, i, s)
 
 
 def test_slacks_nonnegative_on_members():
@@ -517,3 +543,52 @@ def test_too_deep_input_fails_before_planning(monkeypatch):
     twenties = (2,) * 20
     with pytest.raises(RecursionError):
         count_points(CRSystem(twenties, twenties, twenties))
+
+
+def _named_faces(p, q, r):
+    """Every single face predicate in range for the (p, q, r) cone."""
+    if p > q:
+        return []
+    faces = [DiagZero(d) for d in range(1, p + 1)]
+    if r >= 2:
+        faces += [EntryZero(index) for index in range(1, p + 1)]
+        faces += [ColTight(j, t) for j in range(1, p + (p < q)) for t in range(1, p * (r - 1) + 1)]
+        faces += [RowTight(i, s) for i in range(1, p) for s in range(1, q * (r - 1) + 1)]
+    return faces
+
+
+def test_level_cuts_split_checks_and_forms_at_whole_lines():
+    # The memo key at a level cut is the residuals alone.  That is exact
+    # because, for every check or face form still open at the cut, each
+    # side's part assigned before the cut is empty or all the assigned free
+    # cells of one row or column, whose sum the residuals fix.
+    for p in range(1, 6):
+        for q in range(1, 7):
+            for r in range(1, 5):
+                plan = polytope._plan(p, q, r, False)
+                pairs = [check for family in polytope._compile_constraints(p, q, r) for check in family.checks]
+                pairs += [form for face in _named_faces(p, q, r) for form in polytope._face_forms(face, p, q, r)]
+                cells = plan.cells
+                level_starts = {pos for pos in range(1, len(cells)) if cells[pos][2] != cells[pos - 1][2]}
+                assert plan.cuts == level_starts, (p, q, r)
+                for cut in level_starts:
+                    assigned = set(plan.free[:cut])
+                    lines = {}
+                    for idx, (i, j, _) in zip(plan.free, cells[:cut]):
+                        lines.setdefault((0, i), set()).add(idx)
+                        lines.setdefault((1, j), set()).add(idx)
+                    whole = {frozenset(line) for line in lines.values()}
+                    for lhs, rhs in pairs:
+                        if all(plan.pos_of.get(t, -1) < cut for t in lhs + rhs):
+                            continue  # closed before the cut
+                        for side in (lhs, rhs):
+                            part = frozenset(t for t in side if t in assigned)
+                            assert not part or part in whole, ((p, q, r), cut, lhs, rhs)
+
+
+def test_refused_shape_compiles_no_check():
+    twenties = (2,) * 20
+    before = polytope._compile_constraints.cache_info()
+    with pytest.raises(RecursionError):
+        count_points(CRSystem(twenties, twenties, twenties))
+    assert polytope._compile_constraints.cache_info() == before

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from crkron import tableaux
 from crkron.characters import lr_oracle
 from crkron.partitions import NotWeaklyDecreasing, SizeMismatch, partition, partitions_of
 from crkron.polytope import CRSystem, Tensor3, enumerate_points
@@ -92,6 +93,7 @@ def test_rsk_content_and_symmetry():
         assert (p_t.rows, q_t.rows) == (q_tab.rows, p_tab.rows)
 
 
+@pytest.mark.slow
 def test_rsk_symmetry_full_scale():
     for p in range(1, 4):
         for q in range(1, 5):
@@ -214,6 +216,7 @@ def test_theorem41_injective_and_counts_match_small():
         _bijection_sweep(n)
 
 
+@pytest.mark.slow
 def test_theorem41_injective_and_counts_match_n5():
     _bijection_sweep(5)
 
@@ -242,6 +245,13 @@ def test_kostka_examples():
     for n in range(1, 7):
         for lam in partitions_of(n):
             assert kostka(lam, lam) == 1
+
+
+def test_kostka_takes_sequences_and_shares_cache_entries():
+    assert kostka([2, 1], [1, 1, 1]) == 2
+    before = tableaux._kostka.cache_info().currsize
+    assert kostka((2, 1, 0), (1, 1, 1)) == kostka((2, 1), [1, 1, 1]) == 2
+    assert tableaux._kostka.cache_info().currsize == before
 
 
 def test_skew_tableau_validation():
