@@ -7,7 +7,8 @@ arithmetic is exact (Python integers), and every division by n! is checked.
 
 The class sums read whole character-table columns: ``_column`` lists
 chi^lam(rho) for every rho |- n in ``partitions_of`` order, once per
-partition and n, and ``_class_sizes`` the matching class sizes.  Zero
+partition and n, and ``_class_sizes`` the matching class sizes, built from
+the class sizes of the tails of each rho rather than by ``class_size``.  Zero
 parts of a cycle type are dropped and zero parts of a composition are
 empty blocks; a negative part in either raises ``ValueError``.
 """
@@ -63,8 +64,21 @@ def class_size(rho: Partition) -> int:
 
 @lru_cache(maxsize=None)
 def _class_sizes(n: int) -> tuple[int, ...]:
-    """``class_size(rho)`` for every rho in ``partitions_of(n)`` order."""
-    return tuple(class_size(rho) for rho in partitions_of(n))
+    """``class_size(rho)`` for every rho in ``partitions_of(n)`` order.
+
+    Built from the tables of smaller sizes along the order of
+    ``partitions_of``: rho = (h,) + tail with k parts equal to h has
+    z_rho = z_tail * h * k, so |C_rho| = |C_tail| * n!/(n - h)! / (h * k).
+    """
+    if not n:
+        return (1,)
+    sizes: list[int] = []
+    for h in range(n, 0, -1):
+        tails = _partitions_below(n - h, h)
+        below = _class_sizes(n - h)[-len(tails):]
+        falling = factorial(n) // factorial(n - h)
+        sizes += [size * falling // (h * (tail.count(h) + 1)) for size, tail in zip(below, tails)]
+    return tuple(sizes)
 
 
 def _beta_mask(lam: Partition) -> int:

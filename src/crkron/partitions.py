@@ -1,7 +1,9 @@
 """Integer partitions and compositions, plus the orders everything else relies on.
 
 Partitions and compositions are plain tuples of ints: immutable, hashable,
-directly comparable, and cheap to use as cache keys.
+directly comparable, and cheap to use as cache keys.  ``partitions_of(n)``
+is built once per n from the lists of smaller sizes, and each list of
+partitions with capped parts is a suffix of one of them, sharing its tuples.
 """
 
 from __future__ import annotations
@@ -104,18 +106,32 @@ def intersection(lam: Partition, mu: Partition) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def _partitions_below(n: int, cap: int) -> tuple[Partition, ...]:
+def _partition_table(n: int) -> tuple[tuple[Partition, ...], tuple[int, ...]]:
+    """``partitions_of(n)`` and, for each cap 0..n, where the parts <= cap begin.
+
+    Partitions of n come by largest part h, descending, each followed by a
+    tail from ``_partitions_below(n - h, h)``; the tails are the tuples of
+    the smaller tables, so the capped lists share them.
+    """
     if n == 0:
-        return ((),)
-    out = []
-    for first in range(min(n, cap), 0, -1):
-        for rest in _partitions_below(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
+        return ((),), (0,)
+    out: list[Partition] = []
+    starts = [0] * (n + 1)
+    for h in range(n, 0, -1):
+        starts[h] = len(out)
+        out += [(h,) + tail for tail in _partitions_below(n - h, h)]
+    starts[0] = len(out)
+    return tuple(out), tuple(starts)
+
+
+def _partitions_below(n: int, cap: int) -> tuple[Partition, ...]:
+    """The partitions of ``n`` with parts at most ``cap``: a suffix of ``partitions_of(n)``."""
+    parts, starts = _partition_table(n)
+    return parts[starts[min(cap, n)]:]
 
 
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of ``n`` in reverse lexicographic order."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return _partitions_below(n, n)
+    return _partition_table(n)[0]

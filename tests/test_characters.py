@@ -6,6 +6,7 @@ import pytest
 
 from crkron.characters import (
     _beta_mask,
+    _class_sizes,
     _column,
     centralizer_order,
     character_value,
@@ -22,6 +23,13 @@ def test_class_sizes_sum_to_group_order():
     for n in range(1, 9):
         assert sum(class_size(rho) for rho in partitions_of(n)) == factorial(n)
         assert all(factorial(n) % centralizer_order(rho) == 0 for rho in partitions_of(n))
+
+
+def test_class_size_tables_match_class_size():
+    for n in range(26):
+        assert _class_sizes(n) == tuple(map(class_size, partitions_of(n)))
+    for n in range(41):
+        assert sum(_class_sizes(n)) == factorial(n)
 
 
 def test_character_value_examples():

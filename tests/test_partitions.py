@@ -3,6 +3,7 @@ import pytest
 from crkron.partitions import (
     NotWeaklyDecreasing,
     SizeMismatch,
+    _partitions_below,
     conjugate,
     dominance_geq,
     intersection,
@@ -65,6 +66,18 @@ def test_partitions_of():
     assert fours[0] == (4,) and fours[-1] == (1, 1, 1, 1)
     with pytest.raises(ValueError):
         partitions_of(-1)
+
+
+def test_capped_partitions_are_shared_suffixes():
+    for n in range(21):
+        parts = partitions_of(n)
+        assert list(parts) == sorted(set(parts), reverse=True)
+        for cap in range(n + 2):
+            capped = _partitions_below(n, cap)
+            assert capped == tuple(lam for lam in parts if not lam or lam[0] <= cap)
+            suffix = parts[len(parts) - len(capped):]
+            assert all(a is b for a, b in zip(capped, suffix))
+    assert len(partitions_of(40)) == 37338
 
 
 def test_conjugate_is_involution():
