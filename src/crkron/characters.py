@@ -8,16 +8,18 @@ arithmetic is exact (Python integers), and every division by n! is checked.
 The class sums read whole character-table columns: ``_column`` lists
 chi^lam(rho) for every rho |- n in ``partitions_of`` order, once per
 partition and n, and ``_class_sizes`` the matching class sizes, built from
-the class sizes of the tails of each rho rather than by ``class_size``.  Zero
-parts of a cycle type are dropped and zero parts of a composition are
-empty blocks; a negative part in either raises ``ValueError``.
+the class sizes of the tails of each rho rather than by ``class_size``.  The
+permutation character phi^tau(rho) puts the cycles of rho, largest first,
+into the blocks tau, memoized on the cycles and the sorted room left.  Zero
+parts of a cycle type or a composition are dropped; a negative part in
+either raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby, repeat
-from math import comb, factorial
+from itertools import repeat
+from math import factorial
 from operator import add, sub
 
 from .partitions import (
@@ -31,11 +33,6 @@ from .partitions import (
     partitions_of,
     sort_desc,
 )
-
-
-def _cycle_type(rho: Partition) -> tuple[tuple[int, int], ...]:
-    """``(length, multiplicity)`` pairs of ``rho`` by increasing length."""
-    return tuple((part, len(list(run))) for part, run in groupby(sorted(rho)))
 
 
 def centralizer_order(rho: Partition) -> int:
@@ -165,47 +162,32 @@ def character_value(lam: Partition, rho: Partition) -> int:
     return _mn_value(_beta_mask(lam), cycles)
 
 
-def _block_distributions(length: int, mult: int, remaining: tuple[int, ...]):
-    """Ways to put ``mult`` cycles of ``length`` into blocks, with multinomials."""
-    out: list[tuple[int, tuple[int, ...]]] = []
-
-    def go(block: int, left: int, rem: list[int], coeff: int) -> None:
-        if block == len(rem):
-            if left == 0:
-                out.append((coeff, tuple(rem)))
-            return
-        top = min(left, rem[block] // length)
-        for take in range(top + 1):
-            rem[block] -= take * length
-            go(block + 1, left - take, rem, coeff * comb(left, take))
-            rem[block] += take * length
-
-    go(0, mult, list(remaining), 1)
-    return out
-
-
 @lru_cache(maxsize=None)
-def _phi_value(cycles: tuple[tuple[int, int], ...], remaining: tuple[int, ...]) -> int:
-    if not cycles:
-        return 1 if not any(remaining) else 0
-    (length, mult), rest = cycles[0], cycles[1:]
+def _phi_value(rho: Partition, blocks: Partition) -> int:
+    """phi^blocks(rho) for ``rho`` and ``blocks`` of equal size, sorted
+    decreasingly: the first cycle goes into each block with room for it, and
+    what is left of the blocks is sorted again, since phi ignores their order."""
+    if not rho:
+        return 1
+    first, rest = rho[0], rho[1:]
     total = 0
-    for coeff, new_remaining in _block_distributions(length, mult, remaining):
-        total += coeff * _phi_value(rest, new_remaining)
+    for i, room in enumerate(blocks):
+        if room >= first:
+            total += _phi_value(rest, sort_desc(blocks[:i] + (room - first,) + blocks[i + 1 :]))
     return total
 
 
 def perm_character_value(tau: Composition, rho: Partition) -> int:
     """Permutation character phi^tau(rho).
 
-    Counts the ways to distribute the multiset of cycles of ``rho`` into
-    blocks with prescribed sums tau_1, ..., tau_r.
+    Counts the ways to distribute the cycles of ``rho`` into blocks with
+    prescribed sums tau_1, ..., tau_r.
     """
     blocks = composition(tau)
     cycles = sort_desc(composition(rho))
     if sum(blocks) != sum(cycles):
         raise SizeMismatch(f"|{tau}| != |{rho}|")
-    return _phi_value(_cycle_type(cycles), blocks)
+    return _phi_value(cycles, sort_desc(blocks))
 
 
 def _inner_product(total: int, n: int) -> int:
@@ -239,5 +221,5 @@ def lr_oracle(lam: Partition, mu: Partition, tau: Composition) -> int:
     total = 0
     for rho, size, a, b in zip(partitions_of(n), _class_sizes(n), *columns):
         if a and b:
-            total += size * a * b * _phi_value(_cycle_type(rho), key)
+            total += size * a * b * _phi_value(rho, key)
     return _inner_product(total, n)

@@ -2,9 +2,10 @@
 
 Plain decimal output on a single line by default; ``--json`` switches to
 structured output.  Exit codes: 0 success, 1 internal failure (a broken
-invariant or assertion), 2 invalid input or an input too deep for the
-recursive search (one frame per free cell; refused before the search is
-planned); failures print a one-line diagnostic on stderr.  The
+invariant or any other fault of the program), 2 invalid input
+(``ValueError``) or an input too deep for the recursive search (one frame
+per free cell; refused before the search is planned); failures print a
+one-line diagnostic on stderr and never a traceback.  The
 global ``--threads`` option is accepted for compatibility and has no effect:
 every command runs serially.
 """
@@ -225,14 +226,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError as exc:
         print(f"error: input too deep ({exc})", file=sys.stderr)
         return 2
-    except (InvariantViolation, AssertionError) as exc:
+    except InvariantViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return 1
 
 

@@ -199,20 +199,6 @@ def _flat(i: int, j: int, k: int, p: int, q: int) -> int:
     return ((k - 1) * p + (i - 1)) * q + (j - 1)
 
 
-def _col_cell(row: int, col: int, p: int, q: int, r: int) -> tuple[int, int, int]:
-    """Tensor coordinates of cell (row, col) of the pr x q stack."""
-    k = r - (row - 1) // p
-    i = (row - 1) % p + 1
-    return i, col, k
-
-
-def _row_cell(row: int, col: int, p: int, q: int, r: int) -> tuple[int, int, int]:
-    """Tensor coordinates of cell (row, col) of the p x qr concatenation."""
-    k = r - (col - 1) // q
-    j = (col - 1) % q + 1
-    return row, j, k
-
-
 def _staircase(a: int, b: int) -> tuple[tuple[int, int], ...]:
     """The cells (i, j) of an a x b matrix with i + j > a + 1: the main
     lemma's canonicity conditions make them vanish."""
@@ -263,10 +249,15 @@ def _family(a: int, b: int, flat: Callable[[int, int], int]) -> _Family:
 
 def _flatteners(p: int, q: int, r: int):
     """Flat index of cell (row, j) of the pr x q stack and of cell (col, i)
-    of the transposed p x qr concatenation."""
+    of the transposed p x qr concatenation.
+
+    Row ``row`` of the stack is row (row - 1) % p + 1 of level
+    r - (row - 1) // p; column ``col`` of the concatenation is column
+    (col - 1) % q + 1 of level r - (col - 1) // q.
+    """
     return (
-        lambda row, j: _flat(*_col_cell(row, j, p, q, r), p, q),
-        lambda col, i: _flat(*_row_cell(i, col, p, q, r), p, q),
+        lambda row, j: _flat((row - 1) % p + 1, j, r - (row - 1) // p, p, q),
+        lambda col, i: _flat(i, (col - 1) % q + 1, r - (col - 1) // q, p, q),
     )
 
 

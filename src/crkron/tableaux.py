@@ -364,19 +364,19 @@ def _shapes_between(inner: Partition, bound: Partition, added: int) -> tuple[Par
 
 @lru_cache(maxsize=None)
 def _lr_multitableau_contents(lam: Partition, tau: Composition) -> tuple[tuple[tuple[Partition, ...], int], ...]:
-    """Content tuple -> number of LR multitableaux of shape lam and type tau."""
+    """Content tuple -> number of LR multitableaux of shape lam and type tau.
+
+    The last component fills lam/inner, |inner| = |lam| - tau_last, and the
+    others form a multitableau of shape inner and type tau[:-1].
+    """
+    if not tau:
+        return (((), 1),) if not lam else ()
     results: Counter[tuple[Partition, ...]] = Counter()
-
-    def go(step: int, inner: Partition, contents: tuple[Partition, ...], weight: int) -> None:
-        if step == len(tau):
-            if inner == lam:
-                results[contents] += weight
-            return
-        for outer in _shapes_between(inner, lam, tau[step]):
-            for content, cnt in _lr_skew_content_counts(outer, inner):
-                go(step + 1, outer, contents + (content,), weight * cnt)
-
-    go(0, (), (), 1)
+    for inner in _shapes_between((), lam, sum(lam) - tau[-1]):
+        below = _lr_multitableau_contents(inner, tau[:-1])
+        for content, cnt in _lr_skew_content_counts(lam, inner):
+            for contents, weight in below:
+                results[contents + (content,)] += weight * cnt
     return tuple(sorted(results.items()))
 
 
@@ -400,29 +400,15 @@ def kostka(gamma: Partition, tau: Composition) -> int:
 
 @lru_cache(maxsize=None)
 def _kostka(gamma: Partition, tau: Composition) -> int:
-    """``kostka`` of a validated shape and content."""
-    quota = list(tau)
-    cells = [(i, j) for i in range(len(gamma)) for j in range(gamma[i])]
-    grid: dict[tuple[int, int], int] = {}
+    """``kostka`` of a validated shape and content.
 
-    def fill(pos: int) -> int:
-        if pos == len(cells):
-            return 1
-        i, j = cells[pos]
-        lo = 1
-        if j > 0:
-            lo = grid[(i, j - 1)]
-        if i > 0:
-            lo = max(lo, grid[(i - 1, j)] + 1)
-        found = 0
-        for v in range(lo, len(quota) + 1):
-            if quota[v - 1] == 0:
-                continue
-            quota[v - 1] -= 1
-            grid[(i, j)] = v
-            found += fill(pos + 1)
-            quota[v - 1] += 1
-        grid.pop((i, j), None)
-        return found
-
-    return fill(0)
+    The cells holding the last letter form a horizontal strip gamma/inner:
+    inner has size |gamma| - tau_last and inner_i >= gamma_{i+1} for all i.
+    """
+    if not tau:
+        return int(not gamma)
+    total = 0
+    for inner in _shapes_between((), gamma, sum(gamma) - tau[-1]):
+        if all(a >= b for a, b in zip(inner + (0,) * len(gamma), gamma[1:])):
+            total += _kostka(inner, tau[:-1])
+    return total

@@ -173,6 +173,32 @@ def test_youngs_rule():
                     assert lr_oracle(lam, mu, tau) == expected
 
 
+def test_youngs_rule_at_class_level():
+    # phi^tau(rho) = sum_gamma K_{gamma, tau} chi^gamma(rho), with tau in
+    # every order and with a zero part anywhere
+    for n in range(1, 8):
+        for tau in partitions_of(n):
+            for sigma in set(permutations(tau + (0,))):
+                for rho in partitions_of(n):
+                    expected = sum(
+                        kostka(gamma, sigma) * character_value(gamma, rho)
+                        for gamma in partitions_of(n)
+                    )
+                    assert perm_character_value(sigma, rho) == expected, (sigma, rho)
+
+
+def test_lr_identity_on_standard_tableaux_n20():
+    # lr(lam, mu; 1^n) = f^lam f^mu by characters, by Kostka numbers and by
+    # LR multitableau pairs; f^(10,10) is the Catalan number 16,796
+    ones = (1,) * 20
+    shapes = ((10, 10), (7, 7, 6), (8, 6, 6))
+    for lam in shapes:
+        for mu in shapes:
+            expected = kostka(lam, ones) * kostka(mu, ones)
+            assert lr_oracle(lam, mu, ones) == expected == count_lr_pairs(lam, mu, ones), (lam, mu)
+    assert lr_oracle((10, 10), (10, 10), ones) == 16796**2 == 282_105_616
+
+
 def test_lr_oracle_matches_tableau_enumeration():
     for n in range(1, 6):
         for lam in partitions_of(n):

@@ -4,7 +4,7 @@ import shlex
 import subprocess
 import sys
 
-from crkron import kronecker
+from crkron import cli, kronecker
 from crkron.cli import main
 
 
@@ -84,6 +84,16 @@ def test_broken_invariant_exits_1(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "g", "--lambda", "2,1", "--mu", "2,1", "--nu", "2,1")
     assert code == 1 and out == ""
     assert err.startswith("internal error: negative coefficient") and err.count("\n") == 1
+
+
+def test_internal_fault_exits_1_without_traceback(capsys, monkeypatch):
+    def fault(args):
+        return {}[(1, 2)]
+
+    monkeypatch.setitem(cli._COMMANDS, "dim", fault)
+    code, out, err = run_cli(capsys, "dim", "--p", "1", "--q", "1", "--r", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("internal error: KeyError") and err.count("\n") == 1
 
 
 def test_lr_methods(capsys):

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -232,11 +232,14 @@ def test_count_lr_pairs_examples():
 
 
 def test_count_lr_pairs_matches_characters():
+    # the enumeration peels the last component of tau, so its order matters
     for n in range(1, 5):
         for lam in partitions_of(n):
             for mu in partitions_of(n):
                 for tau in partitions_of(n):
                     assert count_lr_pairs(lam, mu, tau) == lr_oracle(lam, mu, tau)
+                    for sigma in set(permutations(tau + (0,))):
+                        assert count_lr_pairs(lam, mu, sigma) == lr_oracle(lam, mu, sigma), sigma
 
 
 def test_kostka_examples():
