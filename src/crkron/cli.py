@@ -3,9 +3,9 @@
 Plain decimal output on a single line by default; ``--json`` switches to
 structured output.  Exit codes: 0 success, 1 internal failure (a broken
 invariant or any other fault of the program), 2 invalid input
-(``ValueError``) or an input too deep for the recursive search (one frame
-per free cell; refused before the search is planned); failures print a
-one-line diagnostic on stderr and never a traceback.  The
+(``ValueError`` or a usage error) or an input too deep for the recursive
+search (one frame per free cell; refused before the search is planned);
+failures print a one-line diagnostic on stderr and never a traceback.  The
 global ``--threads`` option is accepted for compatibility and has no effect:
 every command runs serially.
 """
@@ -31,8 +31,15 @@ from .polytope import CRSystem, cone_dim, count_points, enumerate_points, polyto
 from .tableaux import count_lr_pairs, theorem41_map
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error: ...`` line and exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="crkron")
+    parser = _Parser(prog="crkron")
     parser.add_argument("--threads", type=int, default=1, help="has no effect")
     sub = parser.add_subparsers(dest="command", required=True)
 

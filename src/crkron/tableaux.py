@@ -257,25 +257,24 @@ def _product_with_recording(levels: Sequence[list[list[int]]]) -> tuple[SkewTabl
     ``levels[k]`` holds the entry rows of the k-th tableau.  Step k reads its
     column word from the end (columns right to left, each top down),
     column-inserts each letter and writes the letter's row number into the
-    new box: that is the canonical tableau's letter in the same place.
+    new box: that is the canonical tableau's letter in the same place.  New
+    boxes end their rows, so a component row is its letters in insertion order.
     """
     rows: list[list[int]] = []
     components: list[SkewTableau] = []
     inner: Partition = ()
     for level in levels:
-        new_boxes: dict[tuple[int, int], int] = {}
+        new_rows: list[list[int]] = [[] for _ in rows]
         for j in reversed(range(len(level[0]) if level else 0)):
             for i, row in enumerate(level, start=1):
                 if len(row) <= j:
                     break
-                new_boxes[_column_insert(rows, row[j])] = i
+                r = _column_insert(rows, row[j])[0]
+                if r == len(new_rows):
+                    new_rows.append([])
+                new_rows[r].append(i)
         outer = partition(len(row) for row in rows)
-        pad_inner = inner + (0,) * (len(outer) - len(inner))
-        comp_rows = tuple(
-            tuple(new_boxes[(i, j)] for j in range(pad_inner[i], outer[i]))
-            for i in range(len(outer))
-        )
-        components.append(SkewTableau(outer, inner, comp_rows))
+        components.append(SkewTableau(outer, inner, tuple(map(tuple, new_rows))))
         inner = outer
     return straight_tableau(rows), LRMultitableau(tuple(components))
 
@@ -314,51 +313,51 @@ def _lr_skew_content_counts(outer: Partition, inner: Partition) -> tuple[tuple[P
     size = len(cells)
     grid: dict[tuple[int, int], int] = {}
     counts: Counter[Partition] = Counter()
-    letter_count = [0] * (size + 2)
+    used = [0] * (size + 2)
 
-    def fill(pos: int) -> None:
+    def fill(pos: int, top: int) -> None:
         if pos == size:
-            top = max((v for v in grid.values()), default=0)
-            counts[tuple(letter_count[1 : top + 1])] += 1
+            counts[tuple(used[1 : top + 1])] += 1
             return
         i, j = cells[pos]
-        hi = size
+        above = grid.get((i - 1, j))
+        lo = 1 if above is None else above + 1
         right = grid.get((i, j + 1))
-        if right is not None:
-            hi = min(hi, right)
-        above = grid.get((i - 1, j)) if i > 0 else None
-        lo = (above + 1) if above is not None else 1
+        hi = top + 1 if right is None else min(right, top + 1)
         for v in range(lo, hi + 1):
-            if v > 1 and letter_count[v] + 1 > letter_count[v - 1]:
-                continue
-            grid[(i, j)] = v
-            letter_count[v] += 1
-            fill(pos + 1)
-            letter_count[v] -= 1
+            if v == 1 or used[v] < used[v - 1]:
+                grid[(i, j)] = v
+                used[v] += 1
+                fill(pos + 1, max(top, v))
+                used[v] -= 1
         grid.pop((i, j), None)
 
-    fill(0)
+    fill(0, 0)
     return tuple(sorted(counts.items()))
 
 
 @lru_cache(maxsize=None)
-def _shapes_between(inner: Partition, bound: Partition, added: int) -> tuple[Partition, ...]:
-    """Partitions containing ``inner``, contained in ``bound``, of size +added."""
+def _shapes_between(lower: Partition, upper: Partition, size: int) -> tuple[Partition, ...]:
+    """Partitions of ``size`` between ``lower`` and ``upper``, in ``partitions_of`` order.
+
+    Row i keeps a value in [lower_i, min(upper_i, row i - 1)] only if what is
+    left lies between the sums of lower_k and of min(upper_k, value) below it.
+    """
     out: list[Partition] = []
-    pad = inner + (0,) * (len(bound) - len(inner))
+    pad = lower + (0,) * (len(upper) - len(lower))
+    floor = [sum(pad[row:]) for row in range(len(upper) + 1)]
 
     def go(row: int, left: int, prev: int, built: tuple[int, ...]) -> None:
-        if row == len(bound):
-            if left == 0:
-                out.append(partition(built))
+        if row == len(upper):
+            out.append(partition(built))
             return
-        lo = pad[row]
-        hi = min(bound[row], prev)
-        for value in range(lo, hi + 1):
-            if value - pad[row] <= left:
-                go(row + 1, left - (value - pad[row]), value, built + (value,))
+        for value in range(min(upper[row], prev), pad[row] - 1, -1):
+            rest = left - value
+            if floor[row + 1] <= rest <= sum(min(u, value) for u in upper[row + 1 :]):
+                go(row + 1, rest, value, built + (value,))
 
-    go(0, added, bound[0] if bound else 0, ())
+    if floor[0] <= size <= sum(upper):
+        go(0, size, size, ())
     return tuple(out)
 
 
@@ -403,12 +402,11 @@ def _kostka(gamma: Partition, tau: Composition) -> int:
     """``kostka`` of a validated shape and content.
 
     The cells holding the last letter form a horizontal strip gamma/inner:
-    inner has size |gamma| - tau_last and inner_i >= gamma_{i+1} for all i.
+    gamma_{i+1} <= inner_i <= gamma_i for all i, and |inner| = |gamma| - tau_last.
     """
     if not tau:
         return int(not gamma)
     total = 0
-    for inner in _shapes_between((), gamma, sum(gamma) - tau[-1]):
-        if all(a >= b for a, b in zip(inner + (0,) * len(gamma), gamma[1:])):
-            total += _kostka(inner, tau[:-1])
+    for inner in _shapes_between(gamma[1:], gamma, sum(gamma) - tau[-1]):
+        total += _kostka(inner, tau[:-1])
     return total

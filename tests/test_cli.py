@@ -4,6 +4,8 @@ import shlex
 import subprocess
 import sys
 
+import pytest
+
 from crkron import cli, kronecker
 from crkron.cli import main
 
@@ -57,6 +59,26 @@ def test_g_json_faces_terms_pinned(capsys):
         '{"countMinus": 7, "countPlus": 142, "sign": -1, "tau": [6, 1, 3], "tauBar": [7, 0, 3]}'
         '], "value": 117}\n'
     )
+
+
+def test_g_json_jt_terms_pinned(capsys):
+    code, out, err = run_cli(
+        capsys, "g", "--lambda", "3,2,1", "--mu", "3,2,1", "--nu", "3,2,1", "--json"
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"method": "jt", "terms": ['
+        '{"count": 22, "gamma": [3, 2, 1], "sign": 1}, '
+        '{"count": 8, "gamma": [3, 3], "sign": -1}, '
+        '{"count": 12, "gamma": [4, 1, 1], "sign": -1}, '
+        '{"count": 3, "gamma": [5, 1], "sign": 1}'
+        '], "value": 5}\n'
+    )
+
+
+def test_g_json_jt_shortcut_has_no_terms(capsys):
+    code, out, err = run_cli(capsys, "g", "--lambda", "3", "--mu", "1,1,1", "--nu", "2,1", "--json")
+    assert (code, out, err) == (0, '{"method": "jt", "terms": [], "value": 0}\n', "")
 
 
 def test_g_faces_json_on_empty_triple(capsys):
@@ -174,6 +196,23 @@ def test_invalid_input_exits_2(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "dim", "--p", "3", "--q", "7", "--r", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["g", "--lambda", "2,1", "--nu", "2,1"],
+        ["g", "--lambda", "2,1", "--mu", "2,1", "--nu", "2,1", "--ell", "x"],
+        ["bogus"],
+        [],
+    ],
+)
+def test_usage_error_is_one_line_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_deep_input_exits_2_without_traceback():

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations, product
 
 import pytest
@@ -257,6 +258,29 @@ def test_kostka_takes_sequences_and_shares_cache_entries():
     assert tableaux._kostka.cache_info().currsize == before
 
 
+def test_kostka_pinned_large():
+    assert kostka((40, 40), (2,) * 40) == 17047255430494497
+    assert kostka((80, 80), (2,) * 80) == 74471367333926485356188553908612137
+    assert kostka((30, 20, 10), (2,) * 30) == 3284671840371524460
+
+
+def test_shapes_between_matches_brute_force():
+    def contains(big, small):
+        return len(small) <= len(big) and all(a <= b for a, b in zip(small, big))
+
+    for m in range(9):
+        for upper in partitions_of(m):
+            lowers = [nu for k in range(m + 1) for nu in partitions_of(k) if contains(upper, nu)]
+            for lower in lowers:
+                for size in range(m + 2):
+                    expected = tuple(
+                        nu
+                        for nu in partitions_of(size)
+                        if contains(nu, lower) and contains(upper, nu)
+                    )
+                    assert tableaux._shapes_between(lower, upper, size) == expected
+
+
 def test_skew_tableau_validation():
     with pytest.raises(ValueError):
         straight_tableau([[2, 1]])  # row decreasing
@@ -328,6 +352,22 @@ def test_theorem41_map_matches_reference_product():
                     assert theorem41_map(point) == _reference_map(point), point
                     checked += 1
     assert checked == 4836
+
+
+def test_product_with_recording_matches_reference_on_mixed_rows():
+    # CR points with n <= 5 give components whose rows repeat one letter;
+    # random level tableaux also give rows such as (1, 2).
+    rng = random.Random(7)
+    mixed = 0
+    for _ in range(300):
+        tabs = [
+            insertion_tableau([rng.randint(1, 4) for _ in range(rng.randint(0, 7))])
+            for _ in range(rng.randint(1, 3))
+        ]
+        got = tableaux._product_with_recording([[list(row) for row in tab.rows] for tab in tabs])
+        assert got == _reference_product(tabs), tabs
+        mixed += any(len(set(row)) > 1 for comp in got[1].components for row in comp.rows)
+    assert mixed > 10
 
 
 def test_lr_enumeration_checks_its_inputs():
