@@ -10,7 +10,8 @@ chi^lam(rho) for every rho |- n in ``partitions_of`` order, once per
 partition and n, and ``_class_sizes`` the matching class sizes, built from
 the class sizes of the tails of each rho rather than by ``class_size``.  The
 permutation character phi^tau(rho) puts the cycles of rho, largest first,
-into the blocks tau, memoized on the cycles and the sorted room left.  Zero
+into the blocks tau, memoized on the cycles and the sorted room left, and
+counts the fixed points left at the end by one multinomial.  Zero
 parts of a cycle type or a composition are dropped; a negative part in
 either raises ``ValueError``.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
-from math import factorial
+from math import factorial, prod
 from operator import add, sub
 
 from .partitions import (
@@ -166,10 +167,14 @@ def character_value(lam: Partition, rho: Partition) -> int:
 def _phi_value(rho: Partition, blocks: Partition) -> int:
     """phi^blocks(rho) for ``rho`` and ``blocks`` of equal size, sorted
     decreasingly: the first cycle goes into each block with room for it, and
-    what is left of the blocks is sorted again, since phi ignores their order."""
+    what is left of the blocks is sorted again, since phi ignores their order.
+    Once the first cycle is a fixed point, so is every cycle left, and the
+    count is the multinomial coefficient of the blocks."""
     if not rho:
         return 1
     first, rest = rho[0], rho[1:]
+    if first == 1:
+        return factorial(len(rho)) // prod(factorial(room) for room in blocks)
     total = 0
     for i, room in enumerate(blocks):
         if room >= first:
@@ -181,7 +186,9 @@ def perm_character_value(tau: Composition, rho: Partition) -> int:
     """Permutation character phi^tau(rho).
 
     Counts the ways to distribute the cycles of ``rho`` into blocks with
-    prescribed sums tau_1, ..., tau_r.
+    prescribed sums tau_1, ..., tau_r.  The recursion takes one frame per
+    cycle of length >= 2 (fixed points cost none), so a cycle type with
+    about ``sys.getrecursionlimit()`` such cycles raises ``RecursionError``.
     """
     blocks = composition(tau)
     cycles = sort_desc(composition(rho))

@@ -18,13 +18,12 @@ import sys
 
 from .characters import g_oracle, lr_oracle
 from .kronecker import (
-    cr_count,
     face_term_breakdown,
     jt_expansion,
     jt_pair_expansion,
+    jt_term_breakdown,
     kron_via_cr,
     kron_via_faces,
-    normalize_triple,
 )
 from .partitions import InvariantViolation, parse_composition, parse_partition, partitions_of
 from .polytope import CRSystem, cone_dim, count_points, enumerate_points, polytope_dim_bound
@@ -48,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--mu", required=True)
     g.add_argument("--nu", required=True)
     g.add_argument("--method", choices=("jt", "faces", "oracle"), default="jt")
-    g.add_argument("--ell", type=int, default=1)
+    g.add_argument("--ell", type=int, default=1, help="shift diagonal, read by --method faces only")
     g.add_argument("--json", action="store_true")
 
     lr = sub.add_parser("lr", help="Littlewood-Richardson pair count lr(lambda, mu; tau)")
@@ -98,17 +97,7 @@ def _cmd_g(args) -> int:
         terms = face_term_breakdown(lam, mu, nu, args.ell) if args.json else None
     else:
         value = kron_via_cr(lam, mu, nu)
-        terms = None
-        if args.json:
-            lam2, mu2, nu2, shortcut = normalize_triple(lam, mu, nu)
-            terms = (
-                []
-                if shortcut
-                else [
-                    {"sign": t.sign, "gamma": list(t.gamma), "count": cr_count(lam2, mu2, t.gamma)}
-                    for t in jt_expansion(nu2)
-                ]
-            )
+        terms = jt_term_breakdown(lam, mu, nu) if args.json else None
     if args.json:
         payload = {"value": value, "method": args.method}
         if terms is not None:

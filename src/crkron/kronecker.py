@@ -189,6 +189,17 @@ def kron_via_cr(lam: Partition, mu: Partition, nu: Partition) -> int:
     return _nonnegative(total, lam, mu, nu)
 
 
+def jt_term_breakdown(lam: Partition, mu: Partition, nu: Partition) -> list[dict]:
+    """Per-term audit of the jt formula after normalizing the triple."""
+    lam2, mu2, nu2, shortcut = normalize_triple(lam, mu, nu)
+    if shortcut:
+        return []
+    return [
+        {"sign": term.sign, "gamma": list(term.gamma), "count": cr_count(lam2, mu2, term.gamma)}
+        for term in jt_expansion(nu2)
+    ]
+
+
 def z_matrix(ell: int, p: int, q: int, r: int) -> Tensor3:
     """Entry-moving tensor: +-1 on two adjacent diagonals of level 1 and a +1
     at (ell, ell) of level 2; adding it shifts one unit between level sums
@@ -281,10 +292,11 @@ def face_term_breakdown(lam: Partition, mu: Partition, nu: Partition, ell: int =
 
 def kron_via_faces(lam: Partition, mu: Partition, nu: Partition, ell: int = 1) -> int:
     """Kronecker coefficient from face counts alone (must match kron_via_cr)."""
-    lam2, mu2, nu2, shortcut = normalize_triple(lam, mu, nu)
-    _check_face_ell(lam2, ell)
-    if shortcut:
-        return _shortcut_value(lam2, mu2, nu2)
     breakdown = face_term_breakdown(lam, mu, nu, ell)
+    if not breakdown:
+        # Only a shortcut triple has no pair term: the branch where column s
+        # picks row s, for s <= r - 2, always survives, as both subscripts
+        # of its 2x2 minor are positive parts of nu.
+        return _shortcut_value(*normalize_triple(lam, mu, nu)[:3])
     total = sum(item["sign"] * (item["countPlus"] - item["countMinus"]) for item in breakdown)
     return _nonnegative(total, lam, mu, nu)

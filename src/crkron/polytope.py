@@ -36,9 +36,10 @@ position, cuts) is built once per (p, q, r) and kept (``_plan``).  The
 search takes one frame per free cell, so ``_plan`` counts the free cells
 from the two staircases and refuses a shape whose free cells reach the
 recursion limit with ``RecursionError`` before it compiles any check.  The
-memo lives for one search, and subtrees on the union are counted by the
-same memo as whole polytopes.  Enumeration runs the same recursion with
-the memo off and sorts the points it finds.
+memo lives for one search and keys each state with the flag ``hit`` too:
+a subtree on the union counts all its points, one off it only those on
+the union.  Enumeration runs the same recursion with the memo off and
+sorts the points it finds.
 """
 
 from __future__ import annotations
@@ -77,13 +78,6 @@ class Tensor3:
         for level in self.levels:
             if len(level) != p or any(len(row) != q for row in level):
                 raise ValueError("ragged tensor")
-
-    @classmethod
-    def _trusted(cls, levels: tuple[tuple[tuple[Number, ...], ...], ...]) -> "Tensor3":
-        """A tensor whose levels are known to be well formed: no validation."""
-        tensor = object.__new__(cls)
-        object.__setattr__(tensor, "levels", levels)
-        return tensor
 
     @staticmethod
     def from_levels(levels: Iterable[Iterable[Iterable[Number]]]) -> "Tensor3":
@@ -535,9 +529,9 @@ def _search(
     sides that are bottom runs of one stack column or one concatenation
     row, so at a level cut the assigned part of a side is empty or a whole
     row or column of the assigned levels, whose sum the residuals fix.
-    Subtrees on the union share one memo, the others keep their own.  With
-    ``on_solution`` the memo is off and every point reaches it, in search
-    order.
+    The memo key leads with ``hit``, so a state on the union and the same
+    state off it are counted apart.  With ``on_solution`` the memo is off
+    and every point reaches it, in search order.
     """
     p, q, r = system.dims
     plan = _plan(p, q, r, system.transport_only)
@@ -552,8 +546,7 @@ def _search(
     free_cells, cells, unit_last, checks_at = plan.free, plan.cells, plan.finals, plan.checks_at
     n_free = len(free_cells)
     cuts = plan.cuts if on_solution is None else frozenset()
-    plain_memo: dict[tuple, int] = {}
-    face_memo: dict[tuple, int] = {}
+    memo: dict[tuple, int] = {}
 
     entries = [0] * (p * q * r)
     get = entries.__getitem__
@@ -569,8 +562,7 @@ def _search(
             return 1
         cut = pos in cuts
         if cut:
-            key = (pos, *row_rem, *col_rem)
-            memo = plain_memo if hit else face_memo
+            key = (hit, pos, *row_rem, *col_rem)
             found = memo.get(key)
             if found is not None:
                 return found
@@ -622,9 +614,9 @@ def _search(
 
 
 def _tensor_from_flat(entries: Sequence[Number], p: int, q: int, r: int) -> Tensor3:
-    """Tensor of flat search output, built without re-validating its shape."""
+    """Tensor of flat search output."""
     rows = [tuple(entries[base : base + q]) for base in range(0, p * q * r, q)]
-    return Tensor3._trusted(tuple(tuple(rows[k * p : (k + 1) * p]) for k in range(r)))
+    return Tensor3(tuple(tuple(rows[k * p : (k + 1) * p]) for k in range(r)))
 
 
 # Face-union counts by value, (lam, mu, tau, face) -> count.
@@ -642,10 +634,11 @@ def count_points(system: CRSystem, face: FacePredicate | None = None) -> int:
         return _search(system)
     if system.transport_only:
         raise ValueError(f"face counts need a column-row system, not {system!r}")
-    forms = _face_forms(face, *system.dims)
     key = (system.lam, system.mu, system.tau, face)
     count = _face_counts.get(key)
     if count is None:
+        # a bad face raises here and is never stored, so it raises every time
+        forms = _face_forms(face, *system.dims)
         count = _face_counts[key] = _search(system, forms=forms)
     return count
 
@@ -780,22 +773,18 @@ def build_hypercube_point(p: int, q: int, r: int, picks: dict) -> Tensor3:
     """Assemble a cone point from one value per free hypercube coordinate."""
     levels = [[[Fraction(0)] * q for _ in range(p)] for _ in range(r)]
     for coord in free_cone_coordinates(p, q, r):
+        lo, hi = hypercube_interval(coord[1], q)
+        value = Fraction(picks[coord])
+        if not lo < value < hi:
+            raise ValueError(f"pick for {coord} outside {lo}..{hi}")
         if coord[0] == "diag":
             d = coord[1]
-            lo, hi = hypercube_interval(d, q)
-            value = Fraction(picks[coord])
-            if not lo < value < hi:
-                raise ValueError(f"pick for {coord} outside {lo}..{hi}")
             for i in range(1, p + 1):
                 j = d + 1 - i
                 if 1 <= j <= q:
                     levels[0][i - 1][j - 1] = q * (r - 1) + value
         else:
             i, j, k = coord
-            lo, hi = hypercube_interval(j, q)
-            value = Fraction(picks[coord])
-            if not lo < value < hi:
-                raise ValueError(f"pick for {coord} outside {lo}..{hi}")
             levels[k - 1][i - 1][j - 1] = value
     return Tensor3.from_levels(levels)
 

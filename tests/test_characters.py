@@ -1,6 +1,6 @@
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -108,6 +108,13 @@ def test_perm_character_examples():
     for rho in partitions_of(n):
         expected = factorial(n) if rho == ones else 0
         assert perm_character_value(ones, rho) == expected
+
+
+def test_perm_character_on_many_fixed_points():
+    # fixed points take no recursion frame each
+    ones = (1,) * 900
+    assert perm_character_value((900,), ones) == 1
+    assert perm_character_value((450, 450), ones) == comb(900, 450)
 
 
 def test_g_oracle_examples():

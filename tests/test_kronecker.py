@@ -17,6 +17,7 @@ from crkron.kronecker import (
     face_term_breakdown,
     jt_expansion,
     jt_pair_expansion,
+    jt_term_breakdown,
     kron_via_cr,
     kron_via_faces,
     normalize_triple,
@@ -385,6 +386,33 @@ def test_face_term_breakdown_schema():
     value = sum(item["sign"] * (item["countPlus"] - item["countMinus"]) for item in breakdown)
     assert value == g_oracle((2, 2), (2, 1, 1), (3, 1))
     assert face_term_breakdown((3,), (1, 1, 1), (2, 1), 1) == []
+
+
+def test_term_breakdowns_are_empty_exactly_on_shortcuts():
+    # kron_via_faces reads an empty breakdown as a shortcut triple
+    for n in range(1, 7):
+        parts = partitions_of(n)
+        for lam in parts:
+            for mu in parts:
+                for nu in parts:
+                    lam2, _, _, shortcut = normalize_triple(lam, mu, nu)
+                    assert (jt_term_breakdown(lam, mu, nu) == []) == shortcut
+                    for ell in range(1, len(lam2) + 1):
+                        assert (face_term_breakdown(lam, mu, nu, ell) == []) == shortcut
+
+
+def test_jt_term_breakdown_sums_to_kron_via_cr():
+    for n in range(2, 7):
+        parts = partitions_of(n)
+        for lam in parts:
+            for mu in parts:
+                for nu in parts:
+                    breakdown = jt_term_breakdown(lam, mu, nu)
+                    if not breakdown:
+                        continue
+                    assert all(set(item) == {"sign", "gamma", "count"} for item in breakdown)
+                    value = sum(item["sign"] * item["count"] for item in breakdown)
+                    assert value == kron_via_cr(lam, mu, nu), (lam, mu, nu)
 
 
 def test_face_terms_n18_pinned():
