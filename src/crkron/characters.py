@@ -6,21 +6,24 @@ with no tableaux and no polytopes anywhere in the call chain.  All
 arithmetic is exact (Python integers), and every division by n! is checked.
 
 The class sums read whole character-table columns: ``_column`` lists
-chi^lam(rho) for every rho |- n in ``partitions_of`` order, once per
-partition and n, and ``_class_sizes`` the matching class sizes, built from
-the class sizes of the tails of each rho rather than by ``class_size``.  The
-permutation character phi^tau(rho) puts the cycles of rho, largest first,
-into the blocks tau, memoized on the cycles and the sorted room left, and
-counts the fixed points left at the end by one multinomial.  Zero
-parts of a cycle type or a composition are dropped; a negative part in
-either raises ``ValueError``.
+chi^lam(rho) for every rho |- n in ``partitions_of`` order.  Its block for
+the largest part h is the signed sum, over the rim hooks of length h, of
+the capped column of each hook-removed shape at n - h (the classes with
+parts at most h), so columns are memoized per shape, size and cap, not per
+class.  ``_class_sizes`` lists the matching class sizes, built from the
+class sizes of the tails of each rho rather than by ``class_size``.  Both
+oracles refuse a size with more than ``MAX_CLASSES`` classes before listing
+any.  The permutation character phi^tau(rho) places all the cycles of one
+length in the blocks tau at once, largest length first, memoized on the
+cycles and the sorted room left.  Zero parts of a cycle type or a
+composition are dropped; a negative part in either raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
-from math import factorial, prod
+from itertools import takewhile
+from math import comb, factorial
 from operator import add, sub
 
 from .partitions import (
@@ -28,6 +31,8 @@ from .partitions import (
     InvariantViolation,
     Partition,
     SizeMismatch,
+    _count_below,
+    _partition_counts,
     _partitions_below,
     composition,
     partition,
@@ -135,22 +140,25 @@ def _mn_value(mask: int, rho: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
-def _column(mask: int, n: int) -> tuple[int, ...]:
-    """chi(rho) of the partition with beta mask ``mask``, for every rho |- n.
+def _column(mask: int, n: int, cap: int | None = None) -> tuple[int, ...]:
+    """chi(rho) of the partition with beta mask ``mask``, for every rho |- n
+    with parts at most ``cap``, in the order of ``_partitions_below(n, cap)``.
 
-    ``partitions_of(n)`` lists rho by its largest part h, descending, then
-    by the tails ``_partitions_below(n - h, h)``, so the hooks of length h
-    are removed once per h and each class is a ``_mn_value`` of its tail.
+    That order is the largest part h, descending, then the tails with parts
+    at most h, so the block of h is the signed sum, over the rim hooks of
+    length h, of the capped columns of the hook-removed shapes at n - h.  A
+    full column is keyed ``(mask, n)`` and a capped one ``(mask, n, cap)``
+    with ``cap < n`` only, so each column is computed once.
     """
     if not n:
         return (1,)  # the empty class of S_0
     column: list[int] = []
-    for h in range(n, 0, -1):
-        tails = _partitions_below(n - h, h)
-        block = [0] * len(tails)
+    for h in range(n if cap is None else cap, 0, -1):
+        rest = n - h
+        below = (rest, h) if h < rest else (rest,)
+        block = [0] * _count_below(rest, h)
         for moved, odd in _rim_hooks(mask, h):
-            values = map(_mn_value, repeat(moved), tails)
-            block = list(map(sub if odd else add, block, values))
+            block = list(map(sub if odd else add, block, _column(moved, *below)))
         column += block
     return tuple(column)
 
@@ -166,20 +174,43 @@ def character_value(lam: Partition, rho: Partition) -> int:
 @lru_cache(maxsize=None)
 def _phi_value(rho: Partition, blocks: Partition) -> int:
     """phi^blocks(rho) for ``rho`` and ``blocks`` of equal size, sorted
-    decreasingly: the first cycle goes into each block with room for it, and
-    what is left of the blocks is sorted again, since phi ignores their order.
-    Once the first cycle is a fixed point, so is every cycle left, and the
-    count is the multinomial coefficient of the blocks."""
+    decreasingly.
+
+    All m cycles of the largest length c are placed in one step: a split
+    (k_1, ..., k_r) with sum m and c * k_i <= blocks[i] can be made in
+    m!/(k_1! ... k_r!) ways, and phi of the other cycles is taken on the
+    room left, sorted again, since phi ignores the order of the blocks.  The
+    splits are built block by block, and partial splits that leave the same
+    rooms are merged, so the recursion takes one frame per distinct length.
+    """
     if not rho:
         return 1
-    first, rest = rho[0], rho[1:]
-    if first == 1:
-        return factorial(len(rho)) // prod(factorial(room) for room in blocks)
-    total = 0
-    for i, room in enumerate(blocks):
-        if room >= first:
-            total += _phi_value(rest, sort_desc(blocks[:i] + (room - first,) + blocks[i + 1 :]))
-    return total
+    c = rho[0]
+    m = rho.count(c)
+    fits = [room // c for room in blocks if room >= c]  # a prefix: blocks are sorted
+    after = sum(fits)  # how many the blocks not yet split can take
+    if after < m:
+        return 0
+    # (cycles placed, room left in the blocks split so far, sorted) -> ways
+    splits: dict[tuple[int, Partition], int] = {(0, ()): 1}
+    for room, fit in zip(blocks, fits):
+        after -= fit
+        grown: dict[tuple[int, Partition], int] = {}
+        for (placed, left), ways in splits.items():
+            free = m - placed
+            for k in range(max(0, free - after), min(fit, free) + 1):
+                room_left = room - c * k
+                if room_left:
+                    key = (placed + k, tuple(sorted(left + (room_left,), reverse=True)))
+                else:
+                    key = (placed + k, left)
+                grown[key] = grown.get(key, 0) + ways * comb(free, k)
+        splits = grown
+    small, rest = blocks[len(fits) :], rho[m:]
+    return sum(
+        ways * _phi_value(rest, tuple(sorted(left + small, reverse=True)))
+        for (_, left), ways in splits.items()
+    )
 
 
 def perm_character_value(tau: Composition, rho: Partition) -> int:
@@ -187,14 +218,33 @@ def perm_character_value(tau: Composition, rho: Partition) -> int:
 
     Counts the ways to distribute the cycles of ``rho`` into blocks with
     prescribed sums tau_1, ..., tau_r.  The recursion takes one frame per
-    cycle of length >= 2 (fixed points cost none), so a cycle type with
-    about ``sys.getrecursionlimit()`` such cycles raises ``RecursionError``.
+    distinct cycle length, so its depth stays below sqrt(2 |rho|) + 1.
     """
     blocks = composition(tau)
     cycles = sort_desc(composition(rho))
     if sum(blocks) != sum(cycles):
         raise SizeMismatch(f"|{tau}| != |{rho}|")
     return _phi_value(cycles, sort_desc(blocks))
+
+
+MAX_CLASSES = 250_000
+"""The class budget: ``g_oracle`` and ``lr_oracle`` refuse a size n with more
+than this many conjugacy classes p(n), before listing any class.  p(51) =
+239,943 is the largest size that passes; a two-row triple at n = 50 takes
+about 2 s and 0.3 GB, and each unit of n adds about a fifth to both."""
+
+# p(n) increases with n, so the budget is a largest size
+_MAX_CLASS_N = sum(1 for _ in takewhile(MAX_CLASSES.__ge__, _partition_counts())) - 1
+
+
+class TooManyClasses(ValueError):
+    """A character route would list more than ``MAX_CLASSES`` conjugacy classes."""
+
+    def __init__(self, n: int):
+        super().__init__(
+            f"S_{n} has more than MAX_CLASSES = {MAX_CLASSES} conjugacy classes;"
+            f" the character routes take n <= {_MAX_CLASS_N}"
+        )
 
 
 def _inner_product(total: int, n: int) -> int:
@@ -210,6 +260,8 @@ def g_oracle(lam: Partition, mu: Partition, nu: Partition) -> int:
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
         raise SizeMismatch(f"sizes of {lam}, {mu}, {nu} differ")
+    if n > _MAX_CLASS_N:
+        raise TooManyClasses(n)
     columns = [_column(_beta_mask(x), n) for x in (lam, mu, nu)]
     total = 0
     for size, a, b, c in zip(_class_sizes(n), *columns):
@@ -224,6 +276,8 @@ def lr_oracle(lam: Partition, mu: Partition, tau: Composition) -> int:
     n = sum(lam)
     if sum(mu) != n or sum(key) != n:
         raise SizeMismatch(f"sizes of {lam}, {mu}, {tau} differ")
+    if n > _MAX_CLASS_N:
+        raise TooManyClasses(n)
     columns = [_column(_beta_mask(x), n) for x in (lam, mu)]
     total = 0
     for rho, size, a, b in zip(partitions_of(n), _class_sizes(n), *columns):

@@ -3,8 +3,9 @@
 Plain decimal output on a single line by default; ``--json`` switches to
 structured output.  Exit codes: 0 success, 1 internal failure (a broken
 invariant or any other fault of the program), 2 invalid input
-(``ValueError`` or a usage error) or an input too deep for the recursive
-search (one frame per free cell; refused before the search is planned);
+(``ValueError`` or a usage error), an input too deep for the recursive
+search (one frame per free cell; refused before the search is planned) or
+a character route over the class budget ``characters.MAX_CLASSES``;
 failures print a one-line diagnostic on stderr and never a traceback.  The
 global ``--threads`` option is accepted for compatibility and has no effect:
 every command runs serially.

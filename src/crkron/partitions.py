@@ -9,7 +9,8 @@ partitions with capped parts is a suffix of one of them, sharing its tuples.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -128,6 +129,38 @@ def _partitions_below(n: int, cap: int) -> tuple[Partition, ...]:
     """The partitions of ``n`` with parts at most ``cap``: a suffix of ``partitions_of(n)``."""
     parts, starts = _partition_table(n)
     return parts[starts[min(cap, n)]:]
+
+
+def _count_below(n: int, cap: int) -> int:
+    """``len(_partitions_below(n, cap))``, without copying the suffix."""
+    parts, starts = _partition_table(n)
+    return len(parts) - starts[min(cap, n)]
+
+
+def _partition_counts() -> Iterator[int]:
+    """p(0), p(1), p(2), ... by Euler's pentagonal number recurrence,
+    p(m) = sum over k >= 1 of (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2)),
+    without listing any partition."""
+    counts: list[int] = []
+    while True:
+        m = len(counts)
+        total = 0 if m else 1
+        k = 1
+        while k * (3 * k - 1) // 2 <= m:
+            pair = counts[m - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= m:
+                pair += counts[m - k * (3 * k + 1) // 2]
+            total += pair if k % 2 else -pair
+            k += 1
+        counts.append(total)
+        yield total
+
+
+def partition_count(n: int) -> int:
+    """p(n), the number of partitions of ``n``, without listing them."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    return next(islice(_partition_counts(), n, None))
 
 
 def partitions_of(n: int) -> tuple[Partition, ...]:

@@ -1,3 +1,5 @@
+import sys
+from collections import Counter
 from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
@@ -5,9 +7,13 @@ from math import comb, factorial
 import pytest
 
 from crkron.characters import (
+    _MAX_CLASS_N,
+    MAX_CLASSES,
+    TooManyClasses,
     _beta_mask,
     _class_sizes,
     _column,
+    _phi_value,
     centralizer_order,
     character_value,
     class_size,
@@ -15,7 +21,13 @@ from crkron.characters import (
     lr_oracle,
     perm_character_value,
 )
-from crkron.partitions import SizeMismatch, partitions_of
+from crkron.partitions import (
+    SizeMismatch,
+    _partition_table,
+    _partitions_below,
+    partition_count,
+    partitions_of,
+)
 from crkron.tableaux import count_lr_pairs, kostka
 
 
@@ -115,6 +127,40 @@ def test_perm_character_on_many_fixed_points():
     ones = (1,) * 900
     assert perm_character_value((900,), ones) == 1
     assert perm_character_value((450, 450), ones) == comb(900, 450)
+
+
+def _phi_by_assignments(rho, tau):
+    """Maps from the cycles of ``rho`` to the blocks of ``tau`` that fill
+    every block exactly, counted cycle by cycle over the block loads."""
+    loads = Counter({(0,) * len(tau): 1})
+    for cycle in rho:
+        grown = Counter()
+        for load, ways in loads.items():
+            for i, room in enumerate(tau):
+                if load[i] + cycle <= room:
+                    grown[load[:i] + (load[i] + cycle,) + load[i + 1 :]] += ways
+        loads = grown
+    return loads[tuple(tau)]
+
+
+def test_phi_value_matches_assignment_count():
+    for n in range(10):
+        classes = partitions_of(n)
+        for tau in classes:
+            for rho in classes:
+                assert _phi_value(rho, tau) == _phi_by_assignments(rho, tau), (rho, tau)
+
+
+def test_perm_character_on_many_equal_cycles():
+    # all cycles of one length are placed in one step, so the depth is the
+    # number of distinct lengths, not of cycles
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        assert perm_character_value((2000,), (2,) * 1000) == 1
+        assert perm_character_value((1000, 1000), (2,) * 1000) == comb(1000, 500)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_g_oracle_examples():
@@ -283,6 +329,34 @@ def test_column_matches_character_value():
             assert len(column) == len(classes)
             for rho, value in zip(classes, column):
                 assert value == character_value(lam, rho), (lam, rho)
+
+
+def test_capped_columns_are_suffixes_of_full_columns():
+    for n in range(13):
+        classes = partitions_of(n)
+        for lam in classes:
+            mask = _beta_mask(lam)
+            full = _column(mask, n)
+            for cap in range(1, n):
+                capped = _column(mask, n, cap)
+                below = _partitions_below(n, cap)
+                assert capped == full[len(full) - len(below) :], (lam, cap)
+                for rho, value in zip(below, capped):
+                    assert value == character_value(lam, rho), (lam, rho)
+
+
+def test_class_budget_refuses_before_listing_classes():
+    assert partition_count(_MAX_CLASS_N) <= MAX_CLASSES < partition_count(_MAX_CLASS_N + 1)
+    assert partition_count(40) <= MAX_CLASSES  # the fewrow benchmark's largest size
+    n = _MAX_CLASS_N + 1
+    two_rows = (n - n // 2, n // 2)
+    tables = _partition_table.cache_info().currsize
+    with pytest.raises(TooManyClasses, match="MAX_CLASSES"):
+        g_oracle(two_rows, two_rows, (n,))
+    with pytest.raises(TooManyClasses):
+        lr_oracle((2000,), (2000,), (2000,))
+    assert _partition_table.cache_info().currsize == tables
+    assert issubclass(TooManyClasses, ValueError)
 
 
 def test_g_oracle_matches_class_loop():

@@ -3,6 +3,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -229,6 +230,23 @@ def test_deep_input_exits_2_without_traceback():
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["g", "--lambda", "50,50", "--mu", "50,50", "--nu", "50,50", "--method", "oracle"],
+        ["lr", "--lambda", "2000", "--mu", "2000", "--tau", "2000", "--method", "characters"],
+    ],
+)
+def test_character_routes_over_class_budget_exit_2(capsys, argv):
+    # p(100) and p(2000) classes: refused before any class is listed
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "MAX_CLASSES" in err and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_g_oracle_n40_subprocess():

@@ -3,6 +3,7 @@ import pytest
 from crkron.partitions import (
     NotWeaklyDecreasing,
     SizeMismatch,
+    _count_below,
     _partitions_below,
     conjugate,
     dominance_geq,
@@ -10,6 +11,7 @@ from crkron.partitions import (
     parse_composition,
     parse_partition,
     partition,
+    partition_count,
     partitions_of,
 )
 
@@ -77,7 +79,16 @@ def test_capped_partitions_are_shared_suffixes():
             assert capped == tuple(lam for lam in parts if not lam or lam[0] <= cap)
             suffix = parts[len(parts) - len(capped):]
             assert all(a is b for a, b in zip(capped, suffix))
+            assert _count_below(n, cap) == len(capped)
     assert len(partitions_of(40)) == 37338
+
+
+def test_partition_count_by_pentagonal_recurrence():
+    for n in range(41):
+        assert partition_count(n) == len(partitions_of(n)), n
+    assert partition_count(100) == 190_569_292
+    with pytest.raises(ValueError):
+        partition_count(-1)
 
 
 def test_conjugate_is_involution():
