@@ -1,15 +1,19 @@
 """Integer partitions and compositions, plus the orders everything else relies on.
 
 Partitions and compositions are plain tuples of ints: immutable, hashable,
-directly comparable, and cheap to use as cache keys.  ``partitions_of(n)``
-is built once per n from the lists of smaller sizes, and each list of
-partitions with capped parts is a suffix of one of them, sharing its tuples.
+directly comparable, and cheap to use as cache keys.  Parts are read with
+``operator.index``, so a float or a string is refused, not truncated.  One
+count table per n, p(n, c) for c = 0..n, gives the number of partitions of
+n with parts at most c without listing any; in ``partitions_of`` order
+they are a suffix of width p(n, c).  ``partitions_of(n)`` is built once
+per n from those suffixes of the smaller lists and shares their tuples.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import islice
+from operator import index
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -30,7 +34,7 @@ class InvariantViolation(RuntimeError):
 
 def partition(parts: Iterable[int]) -> Partition:
     """Validate ``parts`` as a partition; trailing zeros are stripped."""
-    seq = tuple(int(x) for x in parts)
+    seq = tuple(map(index, parts))
     for x in seq:
         if x < 0:
             raise ValueError(f"negative part {x} in {seq}")
@@ -44,7 +48,7 @@ def partition(parts: Iterable[int]) -> Partition:
 
 def composition(parts: Iterable[int]) -> Composition:
     """Validate ``parts`` as a composition (nonnegative parts, kept verbatim)."""
-    seq = tuple(int(x) for x in parts)
+    seq = tuple(map(index, parts))
     for x in seq:
         if x < 0:
             raise ValueError(f"negative part {x} in {seq}")
@@ -107,34 +111,33 @@ def intersection(lam: Partition, mu: Partition) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def _partition_table(n: int) -> tuple[tuple[Partition, ...], tuple[int, ...]]:
-    """``partitions_of(n)`` and, for each cap 0..n, where the parts <= cap begin.
+def _count_table(n: int) -> tuple[int, ...]:
+    """p(n, c), the number of partitions of ``n`` with parts at most c, for
+    c = 0..n, from p(n, c) = p(n, c - 1) + p(n - c, c)."""
+    counts = [0 if n else 1]
+    for c in range(1, n + 1):
+        counts.append(counts[-1] + _count_below(n - c, c))
+    return tuple(counts)
 
-    Partitions of n come by largest part h, descending, each followed by a
-    tail from ``_partitions_below(n - h, h)``; the tails are the tuples of
-    the smaller tables, so the capped lists share them.
-    """
+
+def _count_below(n: int, cap: int) -> int:
+    """The number of partitions of ``n`` with parts at most ``cap``."""
+    return _count_table(n)[min(cap, n)]
+
+
+@lru_cache(maxsize=None)
+def _partition_table(n: int) -> tuple[Partition, ...]:
+    """``partitions_of(n)``: by largest part h, descending, each followed by
+    a tail from ``_partitions_below(n - h, h)``, whose tuples it shares."""
     if n == 0:
-        return ((),), (0,)
-    out: list[Partition] = []
-    starts = [0] * (n + 1)
-    for h in range(n, 0, -1):
-        starts[h] = len(out)
-        out += [(h,) + tail for tail in _partitions_below(n - h, h)]
-    starts[0] = len(out)
-    return tuple(out), tuple(starts)
+        return ((),)
+    return tuple((h,) + tail for h in range(n, 0, -1) for tail in _partitions_below(n - h, h))
 
 
 def _partitions_below(n: int, cap: int) -> tuple[Partition, ...]:
     """The partitions of ``n`` with parts at most ``cap``: a suffix of ``partitions_of(n)``."""
-    parts, starts = _partition_table(n)
-    return parts[starts[min(cap, n)]:]
-
-
-def _count_below(n: int, cap: int) -> int:
-    """``len(_partitions_below(n, cap))``, without copying the suffix."""
-    parts, starts = _partition_table(n)
-    return len(parts) - starts[min(cap, n)]
+    parts = _partition_table(n)
+    return parts[len(parts) - _count_below(n, cap):]
 
 
 def _partition_counts() -> Iterator[int]:
@@ -167,4 +170,4 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of ``n`` in reverse lexicographic order."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return _partition_table(n)[0]
+    return _partition_table(n)

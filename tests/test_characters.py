@@ -359,6 +359,13 @@ def test_class_budget_refuses_before_listing_classes():
     assert issubclass(TooManyClasses, ValueError)
 
 
+def test_g_oracle_lists_no_partition():
+    for cache in (_partition_table, _class_sizes, _column):
+        cache.cache_clear()
+    assert g_oracle((20, 20), (20, 20), (20, 20)) == 1
+    assert _partition_table.cache_info().currsize == 0
+
+
 def test_g_oracle_matches_class_loop():
     for n in range(8):
         classes = partitions_of(n)

@@ -1,10 +1,12 @@
 import pytest
 
+from crkron.kronecker import kron_via_cr
 from crkron.partitions import (
     NotWeaklyDecreasing,
     SizeMismatch,
     _count_below,
     _partitions_below,
+    composition,
     conjugate,
     dominance_geq,
     intersection,
@@ -28,6 +30,17 @@ def test_parse_partition():
         parse_partition("3,-1")
     with pytest.raises(ValueError):
         parse_partition("")
+
+
+def test_parts_must_be_integers():
+    # a float is not truncated and a string is not read digit by digit
+    for bad in ((2.9, 1.2), (2.0, 1), "321"):
+        with pytest.raises(TypeError):
+            partition(bad)
+        with pytest.raises(TypeError):
+            composition(bad)
+    with pytest.raises(TypeError):
+        kron_via_cr((2.9, 1.2), (2, 1), (3,))
 
 
 def test_parse_composition():
