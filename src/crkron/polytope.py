@@ -15,11 +15,17 @@ inequality as soon as its last referenced entry has been assigned.  Every
 canonicity check reads a lower run of a column (or a right run of a row)
 of its highest level plus cells of the levels below, so in this order it
 closes as soon as that lower-right block of its level is filled, not in
-the level's last row.  A union of faces is counted by the same recursion,
-with each face compiled to a linear form that is 0 exactly on it: a single
-cell, or the compiled check whose tightness the face names.  Each form is
-decided at its last free cell, a flag ``hit`` marks the branches already
-on the union, and a branch is cut once every form is decided nonzero.  No
+the level's last row.  There it is a bound on the closing cell's value:
+each side is the assigned part of one tensor column (or row), known from
+the residuals, less a few listed cells, and the closing cell lies in one
+side only, so the check reads v >= d or v <= d.  A node works out its
+bounds once and tries only the values between them.  A union of faces is
+counted by the same recursion, with each face compiled to a linear form
+that is 0 exactly on it: a single cell, or the compiled check whose
+tightness the face names.  Each form is decided at its last free cell,
+where exactly one value of that cell makes it 0 (0 for a cell, the bound
+for a check); a flag ``hit`` marks the branches already on the union, and
+a branch off it tries only those values at the last deciding cell.  No
 floating point anywhere; rational data uses ``fractions.Fraction``.
 
 The search is exact but does not visit every point when it only counts.
@@ -31,12 +37,12 @@ cell or a bottom run of one stack column or one concatenation row, so the
 part of it assigned before a cut is empty or a whole column (or row) of
 the earlier levels, and the residuals fix its sum.  Equal states have
 equal subtrees, so each is counted once per search.  The set-up that
-depends on the shape only (free cells, unit completions, checks by closing
-position, cuts) is built once per (p, q, r) and kept (``_plan``).  The
-search takes one frame per free cell, so ``_plan`` counts the free cells
-from the two staircases and refuses a shape whose free cells reach the
-recursion limit with ``RecursionError`` before it compiles any check.  The
-memo lives for one search and keys each state with the flag ``hit`` too:
+depends on the shape only (free cells, unit completions, the checks'
+bounds by closing position, cuts) is built once per (p, q, r) and kept
+(``_plan``).  The search takes one frame per free cell, so ``_plan``
+counts the free cells from the two staircases and refuses a shape whose
+free cells reach the recursion limit with ``RecursionError`` before it
+compiles any check.  The memo lives for one search and keys each state with the flag ``hit`` too:
 a subtree on the union counts all its points, one off it only those on
 the union.  Enumeration runs the same recursion with the memo off and
 sorts the points it finds.
@@ -46,6 +52,7 @@ from __future__ import annotations
 
 import random
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -426,9 +433,26 @@ class _Plan(NamedTuple):
     ``cells`` holds the 0-based (row, column, level) of each free position,
     ``pos_of`` the position of each free flat index, ``idle`` the units
     (axis, index) with no free cell, ``finals`` the units whose last free
-    cell each position is, ``checks_at`` the checks that close at each
-    position, and ``cuts`` the positions of the first free cell of every
-    level after the first, where the search looks up its memo.
+    cell each position is, and ``cuts`` the positions of the first free
+    cell of every level after the first, where the search looks up its
+    memo.
+
+    Each check is reduced once, at the position where it closes, to a bound
+    on that cell's value v.  Its two sides lie in two lines of one axis: a
+    column-family side is a bottom run of one stack column, so of one tensor
+    column (axis 1), and a row-family side one of one concatenation row, so
+    of one tensor row (axis 0).  Either way a side's free cells are the
+    first ones its line meets in search order, so at the closing position
+    its sum is the assigned part of its line, target minus residual, less
+    the line's later assigned cells (``listed``).  The closing cell lies in
+    exactly one side, whose line is the cell's own line on that axis and
+    which lists nothing; with ``d`` the other side's sum less the closing
+    line's assigned part before v, the check reads v >= d when the closing
+    side is the left one and v <= d when it is the right one.
+    ``bounds_at`` holds at each position the bounds ``(axis, close, other,
+    listed, lower)`` of the checks closing there, and ``reductions`` maps
+    every check to its closing position (-1 if it has no free cell) and its
+    bound (None then).
     """
 
     free: tuple[int, ...]
@@ -436,16 +460,24 @@ class _Plan(NamedTuple):
     pos_of: dict[int, int]
     idle: tuple[tuple[int, int], ...]
     finals: tuple[tuple[tuple[int, int], ...], ...]
-    checks_at: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...]
+    bounds_at: tuple[tuple[tuple, ...], ...]
+    reductions: dict[tuple, tuple[int, tuple | None]]
     cuts: frozenset[int]
 
 
 def _closing(pairs, pos_of: dict[int, int]) -> list:
-    """Each ``(lhs, rhs)`` with the position of its last free cell, -1 if it
-    has none.  A side shared by several pairs is read once."""
-    sides = {side for pair in pairs for side in pair}
-    last = {side: max([pos_of.get(t, -1) for t in side], default=-1) for side in sides}
-    return [(pair, max(last[pair[0]], last[pair[1]])) for pair in pairs]
+    """The last free position of each side of each ``(lhs, rhs)``, -1 for a
+    side with none.  A side lists its cells against the search order (the
+    top of its stack column, or the left end of its concatenation row,
+    first), so that is the position of its first free cell."""
+
+    def last(side) -> int:
+        for t in side:
+            if t in pos_of:
+                return pos_of[t]
+        return -1
+
+    return [(last(lhs), last(rhs)) for lhs, rhs in pairs]
 
 
 @lru_cache(maxsize=None)
@@ -466,26 +498,44 @@ def _plan(p: int, q: int, r: int, transport_only: bool) -> _Plan:
 
     finals: list[list[tuple[int, int]]] = [[] for _ in free]
     idle = []
+    # lines[axis][unit]: the positions of the unit's free cells, ascending.
+    lines: list[list[list[int]]] = [[[] for _ in range(size)] for size in (p, q, r)]
+    for pos, cell in enumerate(cells):
+        for axis in range(3):
+            lines[axis][cell[axis]].append(pos)
     for axis, size in enumerate((p, q, r)):
-        last = {cell[axis]: pos for pos, cell in enumerate(cells)}
         for unit in range(size):
-            if unit in last:
-                finals[last[unit]].append((axis, unit))
+            if lines[axis][unit]:
+                finals[lines[axis][unit][-1]].append((axis, unit))
             else:
                 idle.append((axis, unit))
 
+    bounds_at: list[list] = [[] for _ in free]
+    reductions: dict[tuple, tuple[int, tuple | None]] = {}
     families = () if transport_only else _compile_constraints(p, q, r)
-    checks_at: list[list] = [[] for _ in free]
-    for pair, last_pos in _closing([check for family in families for check in family.checks], pos_of):
-        if last_pos >= 0:
-            checks_at[last_pos].append(pair)
+    for axis, family in zip((1, 0), families):
+        # Check (j, i) compares a side on line j - 1 with one on line j.
+        for (j, _), pair, (lhs_last, rhs_last) in zip(
+            family.labels, family.checks, _closing(family.checks, pos_of)
+        ):
+            pos = max(lhs_last, rhs_last)
+            bound = None
+            if pos >= 0:
+                lower = lhs_last == pos
+                close, other, other_last = (j - 1, j, rhs_last) if lower else (j, j - 1, lhs_last)
+                line = lines[axis][other]
+                listed = line[bisect_right(line, other_last) : bisect_right(line, pos)]
+                bound = (axis, close, other, tuple(free[t] for t in listed), lower)
+                bounds_at[pos].append(bound)
+            reductions[pair] = (pos, bound)
     return _Plan(
         free,
         cells,
         pos_of,
         tuple(idle),
         tuple(map(tuple, finals)),
-        tuple(map(tuple, checks_at)),
+        tuple(map(tuple, bounds_at)),
+        reductions,
         frozenset(pos for pos in range(1, len(cells)) if cells[pos][2] != cells[pos - 1][2]),
     )
 
@@ -495,17 +545,25 @@ def _form_plan(forms: tuple, p: int, q: int, r: int, transport_only: bool):
     """Face forms on a shape's plan: ``(forms_at, last)``.
 
     Each form is decided where its last free cell is assigned (``forms_at``;
-    ``last`` is the last such position).  None when a form has no free cell:
-    it is 0 everywhere, so the whole polytope counts.
+    ``last`` is the last such position), and there it is 0 for exactly one
+    value of that cell, its hit value.  A single cell is 0 at 0; a compiled
+    check is 0 where its bound (see ``_Plan``) is tight, so it is entered
+    as that bound.  None when a form has no free cell: it is 0 everywhere,
+    so the whole polytope counts.
     """
     plan = _plan(p, q, r, transport_only)
-    closing = _closing(forms, plan.pos_of)
-    if any(last_pos < 0 for _, last_pos in closing):
-        return None
-    forms_at: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [[] for _ in plan.free]
-    for pair, last_pos in closing:
-        forms_at[last_pos].append(pair)
-    return tuple(map(tuple, forms_at)), max((pos for _, pos in closing), default=-1)
+    forms_at: list[list[tuple | None]] = [[] for _ in plan.free]
+    last = -1
+    for lhs, rhs in forms:
+        if rhs:
+            pos, bound = plan.reductions[lhs, rhs]
+        else:  # a single cell
+            pos, bound = plan.pos_of.get(lhs[0], -1), None
+        if pos < 0:
+            return None
+        forms_at[pos].append(bound)
+        last = max(last, pos)
+    return tuple(map(tuple, forms_at)), last
 
 
 def _search(
@@ -515,23 +573,30 @@ def _search(
 ) -> int:
     """Depth-first assignment of all integer points; returns their number.
 
+    Cells are visited in the plan's order (see ``_Plan``): levels in turn,
+    each from its last cell back.  Each node works out once the bounds
+    ``lb`` and ``ub`` on its cell's value that the row, column and level
+    residuals and the checks closing there allow (see ``_Plan``), and tries
+    ``lb .. ub`` in ascending order, so no value a check rejects is tried.
+    A unit's last free cell takes its forced value, if that lies in
+    ``[lb, ub]``.
+
     With ``forms`` (see ``_face_forms``) only the points on the union of
     their faces count.  Each form is decided where its last free cell is
-    assigned; ``hit`` marks a branch already on the union (from the start
-    when there are no forms), and a branch past the last decision with
-    every form nonzero is cut.  Cells are visited in the plan's order (see
-    ``_Plan``): levels in turn, each from its last cell back, so that a
-    check, which reads a suffix of rows or columns of a level, prunes as
-    soon as that suffix is filled.  When counting, each subtree is counted
-    once per state at the first free cell of every level: the position and
-    the row and column residuals decide the rest of the search.  That key
-    is exact because every check and every form is a single cell or has
-    sides that are bottom runs of one stack column or one concatenation
-    row, so at a level cut the assigned part of a side is empty or a whole
-    row or column of the assigned levels, whose sum the residuals fix.
-    The memo key leads with ``hit``, so a state on the union and the same
-    state off it are counted apart.  With ``on_solution`` the memo is off
-    and every point reaches it, in search order.
+    assigned, at its hit value (see ``_form_plan``); ``hit`` marks a branch
+    already on the union (from the start when there are no forms).  An
+    off-union branch at the last deciding cell tries only the hit values,
+    so no branch runs past it with every form nonzero.  When counting, each
+    subtree is counted once per state at the first free cell of every
+    level: the position and the row and column residuals decide the rest of
+    the search.  That key is exact because every check and every form is a
+    single cell or has sides that are bottom runs of one stack column or
+    one concatenation row, so at a level cut the assigned part of a side is
+    empty or a whole row or column of the assigned levels, whose sum the
+    residuals fix.  The memo key leads with ``hit``, so a state on the
+    union and the same state off it are counted apart.  With
+    ``on_solution`` the memo is off and every point reaches it, in search
+    order.
     """
     p, q, r = system.dims
     plan = _plan(p, q, r, system.transport_only)
@@ -543,17 +608,23 @@ def _search(
     forms_at, last = form_plan or ((), 0)
     if last < 0:
         return 0
-    free_cells, cells, unit_last, checks_at = plan.free, plan.cells, plan.finals, plan.checks_at
+    free_cells, cells, unit_last, bounds_at = plan.free, plan.cells, plan.finals, plan.bounds_at
     n_free = len(free_cells)
     cuts = plan.cuts if on_solution is None else frozenset()
     memo: dict[tuple, int] = {}
 
     entries = [0] * (p * q * r)
-    get = entries.__getitem__
     row_rem = list(system.lam)
     col_rem = list(system.mu)
     lev_rem = list(system.tau)
     rems = (row_rem, col_rem, lev_rem)
+
+    def gap(bound) -> int:
+        """The other side's sum less the closing line's assigned part."""
+        axis, close, other, listed, _ = bound
+        rem, target = rems[axis], targets[axis]
+        listed_sum = sum(entries[t] for t in listed)
+        return target[other] - rem[other] - listed_sum - (target[close] - rem[close])
 
     def rec(pos: int, hit: bool) -> int:
         if pos == n_free:
@@ -567,18 +638,35 @@ def _search(
             if found is not None:
                 return found
         i, j, k = cells[pos]
+        lb = 0
         ub = min(row_rem[i], col_rem[j], lev_rem[k])
+        for axis, close, other, listed, lower in bounds_at[pos]:
+            # gap(), inlined: this loop runs at every node.
+            rem, target = rems[axis], targets[axis]
+            d = target[other] - rem[other] - target[close] + rem[close]
+            for t in listed:
+                d -= entries[t]
+            if lower:
+                if d > lb:
+                    lb = d
+            elif d < ub:
+                ub = d
         finals = unit_last[pos]
         if finals:
             need = rems[finals[0][0]][finals[0][1]]
             for axis, unit in finals[1:]:
                 if rems[axis][unit] != need:
                     return 0
-            if need > ub:
+            if not lb <= need <= ub:
                 return 0
             values = (need,)
         else:
-            values = range(ub + 1)
+            values = range(lb, ub + 1)
+        hits = ()
+        if not hit and forms_at[pos]:
+            hits = {0 if bound is None else gap(bound) for bound in forms_at[pos]}
+            if pos == last:
+                values = [v for v in sorted(hits) if v in values]
         idx = free_cells[pos]
         total = 0
         for v in values:
@@ -586,22 +674,10 @@ def _search(
             row_rem[i] -= v
             col_rem[j] -= v
             lev_rem[k] -= v
-            ok = True
-            for lhs, rhs in checks_at[pos]:
-                lo = 0
-                for t in lhs:
-                    lo += entries[t]
-                hi = 0
-                for t in rhs:
-                    hi += entries[t]
-                if lo < hi:
-                    ok = False
-                    break
-            if ok:
-                if hit or any(sum(map(get, lhs)) == sum(map(get, rhs)) for lhs, rhs in forms_at[pos]):
-                    total += rec(pos + 1, True)
-                elif pos < last:
-                    total += rec(pos + 1, False)
+            if hit or v in hits:
+                total += rec(pos + 1, True)
+            elif pos < last:
+                total += rec(pos + 1, False)
             row_rem[i] += v
             col_rem[j] += v
             lev_rem[k] += v

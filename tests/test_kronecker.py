@@ -24,7 +24,7 @@ from crkron.kronecker import (
     phi_ell,
     z_matrix,
 )
-from crkron.partitions import SizeMismatch, partitions_of
+from crkron.partitions import SizeMismatch, conjugate, partitions_of
 from crkron.polytope import (
     ColTight,
     CRSystem,
@@ -357,6 +357,20 @@ def test_kron_via_faces_matches_cr():
                     top = 1 if shortcut else len(lam2)
                     for ell in range(1, top + 1):
                         assert kron_via_faces(lam, mu, nu, ell) == expected
+
+
+def test_conjugate_forms_match_oracle():
+    # Tensoring with the sign character: g(l, m, n) = g(l', m', n) =
+    # g(l', m, n') = g(l, m', n').  Each form is a different polytope system.
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                for nu in partitions_of(n):
+                    expected = g_oracle(lam, mu, nu)
+                    lc, mc, nc = conjugate(lam), conjugate(mu), conjugate(nu)
+                    for form in ((lc, mc, nu), (lc, mu, nc), (lam, mc, nc)):
+                        assert kron_via_cr(*form) == expected, (lam, mu, nu, form)
+                        assert kron_via_faces(*form) == expected, (lam, mu, nu, form)
 
 
 def test_kron_via_faces_examples():

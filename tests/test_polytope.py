@@ -592,3 +592,102 @@ def test_refused_shape_compiles_no_check():
     with pytest.raises(RecursionError):
         count_points(CRSystem(twenties, twenties, twenties))
     assert polytope._compile_constraints.cache_info() == before
+
+
+def _points_of_shape(p, q, r, limit=8):
+    """Up to ``limit`` points of the first CR system with n <= 8 and dims
+    (p, q, r) that has any, spread over its sorted point list."""
+    for n in range(max(p, q, r), 9):
+        parts = partitions_of(n)
+        for lam in (x for x in parts if len(x) == p):
+            for mu in (x for x in parts if len(x) == q):
+                for tau in (x for x in parts if len(x) == r):
+                    system = CRSystem(lam, mu, tau)
+                    if count_points(system):
+                        points = enumerate_points(system)
+                        return points[:: max(1, len(points) // limit)]
+    return ()
+
+
+def test_checks_and_forms_reduce_to_bounds_on_the_closing_cell():
+    # Each check becomes, at the cell where it closes, a bound on that cell's
+    # value v: each side's sum is the assigned part of its line (a tensor
+    # column for the column family, a tensor row for the row family) less
+    # the listed cells, and the closing cell lies in exactly one side.  A
+    # compiled check's form is 0 where that bound is tight, a single cell's
+    # form where v = 0.
+    for p in range(1, 6):
+        for q in range(1, 7):
+            for r in range(1, 5):
+                plan = polytope._plan(p, q, r, False)
+                free, cells, pos_of = plan.free, plan.cells, plan.pos_of
+
+                def line_cells(axis, unit, upto):
+                    return {free[pos] for pos in range(upto + 1) if cells[pos][axis] == unit}
+
+                checks = [pair for family in polytope._compile_constraints(p, q, r) for pair in family.checks]
+                listed_bounds = sorted((pos, bound) for pos, bounds in enumerate(plan.bounds_at) for bound in bounds)
+                assert listed_bounds == sorted(
+                    plan.reductions[pair] for pair in checks if plan.reductions[pair][0] >= 0
+                ), (p, q, r)
+                for pair in checks:
+                    lhs, rhs = pair
+                    close_pos, bound = plan.reductions[pair]
+                    assert close_pos == max(pos_of.get(t, -1) for t in lhs + rhs), ((p, q, r), pair)
+                    if close_pos < 0:
+                        assert bound is None
+                        continue
+                    axis, close, other, listed, lower = bound
+                    closing = free[close_pos]
+                    assert (closing in lhs) != (closing in rhs)
+                    assert lower == (closing in lhs)
+                    assert cells[close_pos][axis] == close
+                    close_side, other_side = (lhs, rhs) if lower else (rhs, lhs)
+                    assert {t for t in close_side if t in pos_of} == line_cells(axis, close, close_pos)
+                    other_line = line_cells(axis, other, close_pos)
+                    assert set(listed) <= other_line and len(set(listed)) == len(listed)
+                    assert {t for t in other_side if t in pos_of} == other_line - set(listed)
+                for face in _named_faces(p, q, r):
+                    for form in polytope._face_forms(face, p, q, r):
+                        form_plan = polytope._form_plan((form,), p, q, r, False)
+                        if form_plan is None:
+                            assert all(t not in pos_of for t in form[0] + form[1])
+                            continue
+                        forms_at, last = form_plan
+                        assert [entry for entry in forms_at if entry] == [forms_at[last]]
+                        (entry,) = forms_at[last]
+                        if entry is None:
+                            assert form[1] == () and form[0] == (free[last],)
+                        else:
+                            assert plan.reductions[form] == (last, entry)
+
+                points = _points_of_shape(p, q, r)
+                forms = {form for face in _named_faces(p, q, r) for form in polytope._face_forms(face, p, q, r)}
+                for point in points:
+                    entries = [x for level in point.levels for row in level for x in row]
+                    for pair in checks + sorted(forms):
+                        lhs, rhs = pair
+                        if pair in plan.reductions:
+                            close_pos, bound = plan.reductions[pair]
+                        else:  # a single cell
+                            close_pos, bound = pos_of.get(lhs[0], -1), None
+                        if close_pos < 0:
+                            continue
+                        v = entries[free[close_pos]]
+                        lhs_sum = sum(entries[t] for t in lhs)
+                        rhs_sum = sum(entries[t] for t in rhs)
+                        if bound is None:
+                            assert lhs_sum - rhs_sum == v
+                            continue
+                        axis, close, other, listed, lower = bound
+
+                        def assigned(unit):
+                            return sum(
+                                entries[free[pos]] for pos in range(close_pos) if cells[pos][axis] == unit
+                            )
+
+                        d = assigned(other) - sum(entries[t] for t in listed) - assigned(close)
+                        other_sum, close_sum = (rhs_sum, lhs_sum) if lower else (lhs_sum, rhs_sum)
+                        assert d == other_sum - (close_sum - v), ((p, q, r), pair, point)
+                        assert v >= d if lower else v <= d
+                        assert (lhs_sum == rhs_sum) == (v == d)
