@@ -30,22 +30,25 @@ floating point anywhere; rational data uses ``fractions.Fraction``.
 
 The search is exact but does not visit every point when it only counts.
 At the first free cell of each level it looks up its state: the position
-and the row and column residuals.  The level residuals need no place in
-the key: at a cut the earlier levels are full and the later ones
-untouched.  Nor do the checks and forms: each side of one is a single
-cell or a bottom run of one stack column or one concatenation row, so the
-part of it assigned before a cut is empty or a whole column (or row) of
-the earlier levels, and the residuals fix its sum.  Equal states have
-equal subtrees, so each is counted once per search.  The set-up that
-depends on the shape only (free cells, unit completions, the checks'
-bounds by closing position, cuts) is built once per (p, q, r) and kept
-(``_plan``).  The search takes one frame per free cell, so ``_plan``
-counts the free cells from the two staircases and refuses a shape whose
-free cells reach the recursion limit with ``RecursionError`` before it
-compiles any check.  The memo lives for one search and keys each state with the flag ``hit`` too:
-a subtree on the union counts all its points, one off it only those on
-the union.  Enumeration runs the same recursion with the memo off and
-sorts the points it finds.
+and the row, column and level residuals.  The checks and forms need no
+place in the key: each side of one is a single cell or a bottom run of
+one stack column or one concatenation row, so the part of it assigned
+before a cut is empty or a whole column (or row) of the earlier levels,
+and the residuals fix its sum.  Equal states have equal subtrees, so each
+is counted once.  The set-up that depends on the shape only (free cells,
+unit completions, the checks' bounds by closing position, cuts) is built
+once per (p, q, r) and kept (``_plan``).  The search takes one frame per
+free cell, so ``_plan`` counts the free cells from the two staircases and
+refuses a shape whose free cells reach the recursion limit with
+``RecursionError`` before it compiles any check.  A subtree on the face
+union counts all its points, as a plain search does, and lam and mu fix
+the rest: the memo of the states on the union outlives the search.  One
+slot keeps it for the last (lam, mu, transport_only) counted, across
+every tau and face union of that pair, and a search of another pair
+replaces it, so memory stays bounded by one pair's states.  A state off
+the union counts only the points on one search's union, so that memo
+lives for the search.  Enumeration runs the same recursion with the memo
+off and sorts the points it finds.
 """
 
 from __future__ import annotations
@@ -566,6 +569,12 @@ def _form_plan(forms: tuple, p: int, q: int, r: int, transport_only: bool):
     return tuple(map(tuple, forms_at)), last
 
 
+# The on-union level-cut memo of the last (lam, mu, transport_only) that
+# ``_search`` counted, as ``(pair, memo)``; a search of another pair
+# replaces it.
+_memo_slot: tuple[tuple | None, dict[tuple, int]] = (None, {})
+
+
 def _search(
     system: CRSystem,
     on_solution: Callable[[list[int]], None] | None = None,
@@ -588,15 +597,22 @@ def _search(
     off-union branch at the last deciding cell tries only the hit values,
     so no branch runs past it with every form nonzero.  When counting, each
     subtree is counted once per state at the first free cell of every
-    level: the position and the row and column residuals decide the rest of
-    the search.  That key is exact because every check and every form is a
-    single cell or has sides that are bottom runs of one stack column or
-    one concatenation row, so at a level cut the assigned part of a side is
-    empty or a whole row or column of the assigned levels, whose sum the
-    residuals fix.  The memo key leads with ``hit``, so a state on the
-    union and the same state off it are counted apart.  With
-    ``on_solution`` the memo is off and every point reaches it, in search
-    order.
+    level: the position and the row, column and level residuals decide the
+    rest of the search.  That key is exact because every check and every
+    form is a single cell or has sides that are bottom runs of one stack
+    column or one concatenation row, so at a level cut the assigned part of
+    a side is empty or a whole row or column of the assigned levels, whose
+    sum the residuals fix.  Of the targets, only lam and mu enter the
+    bounds, so the key is exact across every tau of one (lam, mu): at a cut
+    the level residuals are 0 for the earlier levels and tau's own parts
+    for the later ones, and the key's length tells r apart.  A state on
+    the union counts every point below it, as in a plain search, so its
+    count goes into ``_memo_slot``, shared by every count of the same
+    (lam, mu, transport_only); a state off the union counts only the points
+    on this search's union, so its count goes into a memo of this search.
+    A count is stored only once its subtree is complete, so an interrupted
+    search leaves the slot exact.  With ``on_solution`` the memo is off and
+    every point reaches it, in search order.
     """
     p, q, r = system.dims
     plan = _plan(p, q, r, system.transport_only)
@@ -610,8 +626,16 @@ def _search(
         return 0
     free_cells, cells, unit_last, bounds_at = plan.free, plan.cells, plan.finals, plan.bounds_at
     n_free = len(free_cells)
-    cuts = plan.cuts if on_solution is None else frozenset()
-    memo: dict[tuple, int] = {}
+    global _memo_slot
+    if on_solution is None:
+        cuts = plan.cuts
+        pair = (system.lam, system.mu, system.transport_only)
+        slot = _memo_slot  # read once: the memo taken is this pair's
+        if slot[0] != pair:
+            slot = _memo_slot = (pair, {})
+        memos = ({}, slot[1])  # off the union, on it
+    else:
+        cuts = frozenset()
 
     entries = [0] * (p * q * r)
     row_rem = list(system.lam)
@@ -633,7 +657,8 @@ def _search(
             return 1
         cut = pos in cuts
         if cut:
-            key = (hit, pos, *row_rem, *col_rem)
+            memo = memos[hit]
+            key = (pos, *row_rem, *col_rem, *lev_rem)
             found = memo.get(key)
             if found is not None:
                 return found

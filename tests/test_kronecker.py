@@ -4,7 +4,7 @@ import subprocess
 import sys
 import textwrap
 import time
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -24,7 +24,7 @@ from crkron.kronecker import (
     phi_ell,
     z_matrix,
 )
-from crkron.partitions import SizeMismatch, conjugate, partitions_of
+from crkron.partitions import SizeMismatch, conjugate, intersection, partitions_of
 from crkron.polytope import (
     ColTight,
     CRSystem,
@@ -372,6 +372,36 @@ def test_conjugate_forms_match_oracle():
                         assert kron_via_cr(*form) == expected, (lam, mu, nu, form)
                         assert kron_via_faces(*form) == expected, (lam, mu, nu, form)
 
+
+
+@pytest.mark.slow
+def test_conjugate_forms_match_oracle_n7():
+    # test_conjugate_forms_match_oracle at n = 7: 3,375 triples, three
+    # conjugate forms each.
+    parts = partitions_of(7)
+    for lam in parts:
+        for mu in parts:
+            for nu in parts:
+                expected = g_oracle(lam, mu, nu)
+                lc, mc, nc = conjugate(lam), conjugate(mu), conjugate(nu)
+                for form in ((lc, mc, nu), (lc, mu, nc), (lam, mc, nc)):
+                    assert kron_via_cr(*form) == expected, (lam, mu, nu, form)
+                    assert kron_via_faces(*form) == expected, (lam, mu, nu, form)
+
+
+def test_dvir_bound_flags_only_zeros():
+    # Dvir (J. Algebra 154, 1993): g(l, m, n) != 0 implies n_1 <= |l & m| and
+    # len(n) <= |l & m'|.  The triples are ordered, so each partition of a
+    # triple is taken in turn as n.
+    flagged = total = 0
+    for n in range(1, 9):
+        parts = partitions_of(n)
+        for lam, mu, nu in product(parts, repeat=3):
+            total += 1
+            if nu[0] > sum(intersection(lam, mu)) or len(nu) > sum(intersection(lam, conjugate(mu))):
+                flagged += 1
+                assert g_oracle(lam, mu, nu) == 0, (lam, mu, nu)
+    assert (flagged, total) == (6244, 15858)
 
 def test_kron_via_faces_examples():
     assert kron_via_faces((2, 1), (2, 1), (2, 1), 1) == 1

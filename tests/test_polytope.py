@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -691,3 +691,78 @@ def test_checks_and_forms_reduce_to_bounds_on_the_closing_cell():
                         assert d == other_sum - (close_sum - v), ((p, q, r), pair, point)
                         assert v >= d if lower else v <= d
                         assert (lhs_sum == rhs_sum) == (v == d)
+
+
+def _clear_count_caches():
+    """Empty the count caches above the search, so that every count searches."""
+    from crkron import kronecker
+
+    kronecker._cr_count_cached.cache_clear()
+    polytope._face_counts.clear()
+
+
+def _cold(count):
+    """``count()`` with every count cache and the search's memo slot empty."""
+    _clear_count_caches()
+    polytope._memo_slot = (None, {})
+    return count()
+
+
+def test_warm_memo_slot_matches_cold_counts_n6():
+    # Both routes count polytopes of the normalized (lam, mu), so each finds
+    # the slot filled by the other; every value must equal its cold value.
+    from crkron.kronecker import kron_via_cr, kron_via_faces
+
+    routes = (kron_via_cr, kron_via_faces)
+    for n in range(1, 7):
+        triples = list(product(partitions_of(n), repeat=3))
+        cold = {(route, t): _cold(lambda: route(*t)) for route in routes for t in triples}
+        for order in (routes, routes[::-1]):
+            for t in triples:
+                _clear_count_caches()
+                for route in order:
+                    assert route(*t) == cold[route, t], (route.__name__, t)
+
+
+def test_memo_slot_is_exact_across_tau():
+    # One (lam, mu) shares its slot across every tau and face union.  The
+    # level residuals in the key tell apart taus whose zero parts sit in
+    # different places and the key's length tells apart r.
+    from crkron.kronecker import face_F_minus, face_F_plus
+
+    lam, mu = (3, 2), (2, 2, 1)
+    taus = [tau for r in range(1, 6) for tau in product(range(6), repeat=r) if sum(tau) == 5]
+    counts = []
+    for tau in taus:
+        counts.append((CRSystem(lam, mu, tau), None))
+        counts.append((CRSystem(lam, mu, tau, transport_only=True), None))
+        if len(tau) >= 2:
+            counts.append((CRSystem(lam, mu, tau), face_F_plus(lam, mu, tau, 1)))
+            counts.append((CRSystem(lam, mu, tau), face_F_minus(lam, mu, tau, 1)))
+    cold = [_cold(lambda: count_points(system, face)) for system, face in counts]
+    rng = random.Random("memo-slot-across-tau")
+    order = list(range(len(counts)))
+    column_row = [at for at in order if not counts[at][0].transport_only]
+    polytope._memo_slot = (None, {})
+    # column-row counts alone share one slot; mixed with transport counts
+    # the slot changes hands between the two kinds
+    for pass_order in (column_row, order):
+        rng.shuffle(pass_order)
+        _clear_count_caches()
+        for at in pass_order:
+            system, face = counts[at]
+            assert count_points(system, face) == cold[at], (system, face)
+
+
+def test_memo_slot_holds_one_pair():
+    first = CRSystem((3, 2, 1), (3, 2, 1), (2, 2, 2))
+    second = CRSystem((4, 1, 1), (2, 2, 2), (3, 2, 1))
+    polytope._memo_slot = (None, {})
+    count_points(second)
+    alone = dict(polytope._memo_slot[1])
+    count_points(first)
+    assert polytope._memo_slot[0] == (first.lam, first.mu, False)
+    assert set(polytope._memo_slot[1]) - set(alone)
+    count_points(second)
+    assert polytope._memo_slot[0] == (second.lam, second.mu, False)
+    assert polytope._memo_slot[1] == alone
