@@ -29,15 +29,17 @@ a branch off it tries only those values at the last deciding cell.  No
 floating point anywhere; rational data uses ``fractions.Fraction``.
 
 The search is exact but does not visit every point when it only counts.
-At the first free cell of each level it looks up its state: the position
-and the row, column and level residuals.  The checks and forms need no
-place in the key: each side of one is a single cell or a bottom run of
-one stack column or one concatenation row, so the part of it assigned
-before a cut is empty or a whole column (or row) of the earlier levels,
-and the residuals fix its sum.  Equal states have equal subtrees, so each
-is counted once.  The set-up that depends on the shape only (free cells,
-unit completions, the checks' bounds by closing position, cuts) is built
-once per (p, q, r) and kept (``_plan``).  The search takes one frame per
+It looks up its state at every position where no check or form still to
+close lists a cell assigned before it: every level cut and most cells
+inside a level.  There the assigned cells reach the rest of the search
+only through the residuals, so the state is the position and the row,
+column and level residuals, packed into one int that each assignment
+lowers by one product (``_radix``).  Equal states have equal subtrees, so
+each is counted once: the transfer-matrix method (Stanley, Enumerative
+Combinatorics I, 4.7) run depth first.  The set-up that depends on the
+shape only (free cells, unit completions, the checks' bounds by closing
+position, memo positions) is built once per (p, q, r) and kept
+(``_plan``).  The search takes one frame per
 free cell, so ``_plan`` counts the free cells from the two staircases and
 refuses a shape whose free cells reach the recursion limit with
 ``RecursionError`` before it compiles any check.  A subtree on the face
@@ -437,8 +439,7 @@ class _Plan(NamedTuple):
     ``pos_of`` the position of each free flat index, ``idle`` the units
     (axis, index) with no free cell, ``finals`` the units whose last free
     cell each position is, and ``cuts`` the positions of the first free
-    cell of every level after the first, where the search looks up its
-    memo.
+    cell of every level after the first.
 
     Each check is reduced once, at the position where it closes, to a bound
     on that cell's value v.  Its two sides lie in two lines of one axis: a
@@ -456,6 +457,12 @@ class _Plan(NamedTuple):
     listed, lower)`` of the checks closing there, and ``reductions`` maps
     every check to its closing position (-1 if it has no free cell) and its
     bound (None then).
+
+    ``memo_at`` holds the positions c >= 1 where the search looks up its
+    memo: those where no bound at c or later lists a cell assigned before
+    c.  There the cells already assigned reach the rest of the search only
+    through the residuals, so the position and the residuals fix it.  Every
+    level cut is one of them, and most positions inside a level are too.
     """
 
     free: tuple[int, ...]
@@ -466,6 +473,7 @@ class _Plan(NamedTuple):
     bounds_at: tuple[tuple[tuple, ...], ...]
     reductions: dict[tuple, tuple[int, tuple | None]]
     cuts: frozenset[int]
+    memo_at: frozenset[int]
 
 
 def _closing(pairs, pos_of: dict[int, int]) -> list:
@@ -531,6 +539,15 @@ def _plan(p: int, q: int, r: int, transport_only: bool) -> _Plan:
                 bound = (axis, close, other, tuple(free[t] for t in listed), lower)
                 bounds_at[pos].append(bound)
             reductions[pair] = (pos, bound)
+    # earliest: the first position listed by a bound at this position or later.
+    earliest = len(free)
+    memo_at = []
+    for pos in reversed(range(1, len(free))):
+        for _, _, _, listed, _ in bounds_at[pos]:
+            for t in listed:
+                earliest = min(earliest, pos_of[t])
+        if earliest >= pos:
+            memo_at.append(pos)
     return _Plan(
         free,
         cells,
@@ -540,7 +557,30 @@ def _plan(p: int, q: int, r: int, transport_only: bool) -> _Plan:
         tuple(map(tuple, bounds_at)),
         reductions,
         frozenset(pos for pos in range(1, len(cells)) if cells[pos][2] != cells[pos - 1][2]),
+        frozenset(memo_at),
     )
+
+
+@lru_cache(maxsize=None)
+def _radix(p: int, q: int, r: int, transport_only: bool, n: int):
+    """Weights that pack a search state into one int: ``(weights, digits)``.
+
+    A state is read as a mixed-radix number.  Its lowest digit is the
+    position, of base b = pqr + 1.  Above it sit the row, column and level
+    residuals, each a digit of base B = n + 1 with place value
+    ``digits[d]`` (rows first), and a sentinel 1 at ``digits[-1]``, above
+    the last level.  Assigning v to the free cell at ``pos`` lowers its
+    row, column and level residuals by v, so the state by
+    ``v * weights[pos]``.  With D = p + q + r the keys of one r lie in
+    [b B^D, 2 b B^D), below those of r + 1, so the keys of one (lam, mu)
+    never collide across tau.
+    """
+    base = p * q * r + 1
+    digits = tuple(base * (n + 1) ** d for d in range(p + q + r + 1))
+    weights = tuple(
+        digits[i] + digits[p + j] + digits[p + q + k] for i, j, k in _plan(p, q, r, transport_only).cells
+    )
+    return weights, digits
 
 
 @lru_cache(maxsize=None)
@@ -569,10 +609,10 @@ def _form_plan(forms: tuple, p: int, q: int, r: int, transport_only: bool):
     return tuple(map(tuple, forms_at)), last
 
 
-# The on-union level-cut memo of the last (lam, mu, transport_only) that
-# ``_search`` counted, as ``(pair, memo)``; a search of another pair
-# replaces it.
-_memo_slot: tuple[tuple | None, dict[tuple, int]] = (None, {})
+# The on-union memo of the last (lam, mu, transport_only) that ``_search``
+# counted, as ``(pair, memo)``, keyed by packed states (see ``_radix``); a
+# search of another pair replaces it.
+_memo_slot: tuple[tuple | None, dict[int, int]] = (None, {})
 
 
 def _search(
@@ -596,23 +636,23 @@ def _search(
     already on the union (from the start when there are no forms).  An
     off-union branch at the last deciding cell tries only the hit values,
     so no branch runs past it with every form nonzero.  When counting, each
-    subtree is counted once per state at the first free cell of every
-    level: the position and the row, column and level residuals decide the
-    rest of the search.  That key is exact because every check and every
-    form is a single cell or has sides that are bottom runs of one stack
-    column or one concatenation row, so at a level cut the assigned part of
-    a side is empty or a whole row or column of the assigned levels, whose
-    sum the residuals fix.  Of the targets, only lam and mu enter the
-    bounds, so the key is exact across every tau of one (lam, mu): at a cut
-    the level residuals are 0 for the earlier levels and tau's own parts
-    for the later ones, and the key's length tells r apart.  A state on
-    the union counts every point below it, as in a plain search, so its
-    count goes into ``_memo_slot``, shared by every count of the same
-    (lam, mu, transport_only); a state off the union counts only the points
-    on this search's union, so its count goes into a memo of this search.
-    A count is stored only once its subtree is complete, so an interrupted
-    search leaves the slot exact.  With ``on_solution`` the memo is off and
-    every point reaches it, in search order.
+    subtree is counted once per state at every position of ``memo_at``
+    (see ``_Plan``): no bound from there on lists an earlier cell, and a
+    form is a single cell, which lists nothing, or a check whose bound is
+    one of the plan's, so the position and the row, column and level
+    residuals decide the rest of the search.  ``rec`` carries that state
+    as one int (see ``_radix``) and lowers it by ``v * weights[pos]`` for
+    each value v it assigns.  Of the targets, only lam and mu enter the
+    bounds, so the key is exact across every tau of one (lam, mu): the
+    level residuals tell apart taus of one length, and the sentinel and
+    the position's base tell apart r.  A state on the union counts every
+    point below it, as in a plain search, so its count goes into
+    ``_memo_slot``, shared by every count of the same (lam, mu,
+    transport_only); a state off the union counts only the points on this
+    search's union, so its count goes into a memo of this search.  A count
+    is stored only once its subtree is complete, so an interrupted search
+    leaves the slot exact.  With ``on_solution`` the memo is off and every
+    point reaches it, in search order.
     """
     p, q, r = system.dims
     plan = _plan(p, q, r, system.transport_only)
@@ -626,16 +666,17 @@ def _search(
         return 0
     free_cells, cells, unit_last, bounds_at = plan.free, plan.cells, plan.finals, plan.bounds_at
     n_free = len(free_cells)
+    weights, digits = _radix(p, q, r, system.transport_only, sum(system.lam))
     global _memo_slot
     if on_solution is None:
-        cuts = plan.cuts
+        memo_at = plan.memo_at
         pair = (system.lam, system.mu, system.transport_only)
         slot = _memo_slot  # read once: the memo taken is this pair's
         if slot[0] != pair:
             slot = _memo_slot = (pair, {})
         memos = ({}, slot[1])  # off the union, on it
     else:
-        cuts = frozenset()
+        memo_at = frozenset()
 
     entries = [0] * (p * q * r)
     row_rem = list(system.lam)
@@ -650,15 +691,15 @@ def _search(
         listed_sum = sum(entries[t] for t in listed)
         return target[other] - rem[other] - listed_sum - (target[close] - rem[close])
 
-    def rec(pos: int, hit: bool) -> int:
+    def rec(pos: int, hit: bool, state: int) -> int:
         if pos == n_free:
             if on_solution is not None:
                 on_solution(entries)
             return 1
-        cut = pos in cuts
-        if cut:
+        memoized = pos in memo_at
+        if memoized:
             memo = memos[hit]
-            key = (pos, *row_rem, *col_rem, *lev_rem)
+            key = state + pos
             found = memo.get(key)
             if found is not None:
                 return found
@@ -693,6 +734,7 @@ def _search(
             if pos == last:
                 values = [v for v in sorted(hits) if v in values]
         idx = free_cells[pos]
+        weight = weights[pos]
         total = 0
         for v in values:
             entries[idx] = v
@@ -700,18 +742,22 @@ def _search(
             col_rem[j] -= v
             lev_rem[k] -= v
             if hit or v in hits:
-                total += rec(pos + 1, True)
+                total += rec(pos + 1, True, state - v * weight)
             elif pos < last:
-                total += rec(pos + 1, False)
+                total += rec(pos + 1, False, state - v * weight)
             row_rem[i] += v
             col_rem[j] += v
             lev_rem[k] += v
         entries[idx] = 0
-        if cut:
+        if memoized:
             memo[key] = total
         return total
 
-    return rec(0, form_plan is None)
+    state = sum(x * digit for x, digit in zip(row_rem + col_rem + lev_rem, digits)) + digits[-1]
+    try:
+        return rec(0, form_plan is None, state)
+    finally:
+        del rec  # rec reaches itself through its closure: break that cycle
 
 
 def _tensor_from_flat(entries: Sequence[Number], p: int, q: int, r: int) -> Tensor3:

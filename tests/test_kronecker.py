@@ -389,6 +389,21 @@ def test_conjugate_forms_match_oracle_n7():
                     assert kron_via_faces(*form) == expected, (lam, mu, nu, form)
 
 
+@pytest.mark.slow
+def test_deep_searches_match_oracle():
+    # Three-row triples with n = 36 to 42, whose jt and face searches run
+    # through many positions inside each level where the search memoizes.
+    expected = {
+        ((12, 12, 12),) * 3: 7,
+        ((14, 14, 14),) * 3: 8,
+        ((16, 14, 12), (15, 14, 13), (20, 14, 8)): 6163,
+    }
+    for triple, value in expected.items():
+        assert g_oracle(*triple) == value, triple
+        assert kron_via_cr(*triple) == value, triple
+        assert kron_via_faces(*triple) == value, triple
+
+
 def test_dvir_bound_flags_only_zeros():
     # Dvir (J. Algebra 154, 1993): g(l, m, n) != 0 implies n_1 <= |l & m| and
     # len(n) <= |l & m'|.  The triples are ordered, so each partition of a

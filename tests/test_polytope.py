@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -584,6 +585,60 @@ def test_level_cuts_split_checks_and_forms_at_whole_lines():
                         for side in (lhs, rhs):
                             part = frozenset(t for t in side if t in assigned)
                             assert not part or part in whole, ((p, q, r), cut, lhs, rhs)
+
+
+def test_memo_positions_read_no_earlier_cell():
+    # The search memoizes on the position and the residuals alone at every
+    # position c of memo_at.  That is exact because no bound at c or later,
+    # so no check and no face form decided there, lists a cell assigned
+    # before c: those cells reach the rest of the search only through the
+    # residuals.
+    for p in range(1, 6):
+        for q in range(1, 7):
+            for r in range(1, 5):
+                for transport_only in (False, True):
+                    plan = polytope._plan(p, q, r, transport_only)
+                    shape = (p, q, r, transport_only)
+                    n_free = len(plan.free)
+
+                    def reads_earlier(c):
+                        return any(
+                            plan.pos_of[t] < c
+                            for bounds in plan.bounds_at[c:]
+                            for _, _, _, listed, _ in bounds
+                            for t in listed
+                        )
+
+                    assert plan.cuts <= plan.memo_at, shape
+                    # every position after the first that reads no earlier cell, and no other
+                    assert plan.memo_at == {c for c in range(1, n_free) if not reads_earlier(c)}, shape
+                    if transport_only:
+                        continue
+                    for face in _named_faces(p, q, r):
+                        for lhs, rhs in polytope._face_forms(face, p, q, r):
+                            if not rhs:
+                                assert len(lhs) == 1, (shape, face)
+                                continue
+                            pos, bound = plan.reductions[lhs, rhs]
+                            assert pos < 0 or bound in plan.bounds_at[pos], (shape, face)
+
+
+def test_count_leaves_no_cyclic_garbage():
+    # A search frees its memos and closures by reference counting alone, so
+    # a paused collector finds nothing to collect after a count.
+    system = CRSystem((4, 3, 2, 1), (4, 3, 2, 1), (4, 3, 2, 1))
+
+    def counts():
+        return count_points(system), count_points(system, EntryZero(1))
+
+    warm = counts()
+    gc.collect()
+    gc.disable()
+    try:
+        assert _cold(counts) == warm
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_refused_shape_compiles_no_check():
