@@ -93,7 +93,10 @@ def _cofactor_paths(nu: Partition, depth: int, by_column: bool):
                 break
             yield from walk(step + 1, left, -sign if pos % 2 else sign, picks + (subscript,))
 
-    return walk(1, tuple(range(1, len(nu) + 1)), 1, ())
+    try:
+        yield from walk(1, tuple(range(1, len(nu) + 1)), 1, ())
+    finally:
+        del walk  # walk reaches itself through its closure: break that cycle
 
 
 def jt_expansion(nu: Partition) -> tuple[JTTerm, ...]:

@@ -32,11 +32,13 @@ The search is exact but does not visit every point when it only counts.
 It looks up its state at every position where no check or form still to
 close lists a cell assigned before it: every level cut and most cells
 inside a level.  There the assigned cells reach the rest of the search
-only through the residuals, so the state is the position and the row,
-column and level residuals, packed into one int that each assignment
-lowers by one product (``_radix``).  Equal states have equal subtrees, so
-each is counted once: the transfer-matrix method (Stanley, Enumerative
-Combinatorics I, 4.7) run depth first.  The set-up that depends on the
+only through the residuals, so the state is the position and the
+residuals, packed into one int that each assignment lowers by one product
+(``_radix``).  The search treats the three margins alike: row i, column j
+and level k are the units i, p + j and p + q + k (0-based) of one residual
+vector, which starts at the concatenated targets lam + mu + tau.  Equal
+states have equal subtrees, so each is counted once: the transfer-matrix
+method (Stanley, Enumerative Combinatorics I, 4.7) run depth first.  The set-up that depends on the
 shape only (free cells, unit completions, the checks' bounds by closing
 position, memo positions) is built once per (p, q, r) and kept
 (``_plan``).  The search takes one frame per
@@ -435,28 +437,27 @@ class _Plan(NamedTuple):
     backwards from its last flat index, so a check closes once the rows
     (or columns) it reads in its highest level are filled, not at the
     level's last row.
-    ``cells`` holds the 0-based (row, column, level) of each free position,
-    ``pos_of`` the position of each free flat index, ``idle`` the units
-    (axis, index) with no free cell, ``finals`` the units whose last free
-    cell each position is, and ``cuts`` the positions of the first free
-    cell of every level after the first.
+    ``units`` holds the three unit ids (row i, column p + j, level
+    p + q + k, 0-based) of each free position, ``pos_of`` the position of
+    each free flat index, ``idle`` the units with no free cell and
+    ``finals`` the units whose last free cell each position is.
 
     Each check is reduced once, at the position where it closes, to a bound
-    on that cell's value v.  Its two sides lie in two lines of one axis: a
-    column-family side is a bottom run of one stack column, so of one tensor
-    column (axis 1), and a row-family side one of one concatenation row, so
-    of one tensor row (axis 0).  Either way a side's free cells are the
+    on that cell's value v.  Its two sides lie in two adjacent units of one
+    margin: a column-family side is a bottom run of one stack column, so of
+    one tensor column, and a row-family side one of one concatenation row,
+    so of one tensor row.  Either way a side's free cells are the
     first ones its line meets in search order, so at the closing position
     its sum is the assigned part of its line, target minus residual, less
     the line's later assigned cells (``listed``).  The closing cell lies in
-    exactly one side, whose line is the cell's own line on that axis and
+    exactly one side, whose line is the cell's own unit on that margin and
     which lists nothing; with ``d`` the other side's sum less the closing
     line's assigned part before v, the check reads v >= d when the closing
     side is the left one and v <= d when it is the right one.
-    ``bounds_at`` holds at each position the bounds ``(axis, close, other,
-    listed, lower)`` of the checks closing there, and ``reductions`` maps
-    every check to its closing position (-1 if it has no free cell) and its
-    bound (None then).
+    ``bounds_at`` holds at each position the bounds ``(close, other,
+    listed, lower)`` of the checks closing there, with ``close`` and
+    ``other`` unit ids, and ``reductions`` maps every check to its closing
+    position (-1 if it has no free cell) and its bound (None then).
 
     ``memo_at`` holds the positions c >= 1 where the search looks up its
     memo: those where no bound at c or later lists a cell assigned before
@@ -466,13 +467,12 @@ class _Plan(NamedTuple):
     """
 
     free: tuple[int, ...]
-    cells: tuple[tuple[int, int, int], ...]
+    units: tuple[tuple[int, int, int], ...]
     pos_of: dict[int, int]
-    idle: tuple[tuple[int, int], ...]
-    finals: tuple[tuple[tuple[int, int], ...], ...]
+    idle: tuple[int, ...]
+    finals: tuple[tuple[int, ...], ...]
     bounds_at: tuple[tuple[tuple, ...], ...]
     reductions: dict[tuple, tuple[int, tuple | None]]
-    cuts: frozenset[int]
     memo_at: frozenset[int]
 
 
@@ -505,27 +505,26 @@ def _plan(p: int, q: int, r: int, transport_only: bool) -> _Plan:
         # The search takes one frame per free cell, so it could not finish.
         raise RecursionError(f"{len(free)} free cells, recursion limit {limit}")
     pos_of = {idx: pos for pos, idx in enumerate(free)}
-    cells = tuple((idx // q % p, idx % q, idx // (p * q)) for idx in free)
+    units = tuple((idx // q % p, p + idx % q, p + q + idx // (p * q)) for idx in free)
 
-    finals: list[list[tuple[int, int]]] = [[] for _ in free]
+    finals: list[list[int]] = [[] for _ in free]
     idle = []
-    # lines[axis][unit]: the positions of the unit's free cells, ascending.
-    lines: list[list[list[int]]] = [[[] for _ in range(size)] for size in (p, q, r)]
-    for pos, cell in enumerate(cells):
-        for axis in range(3):
-            lines[axis][cell[axis]].append(pos)
-    for axis, size in enumerate((p, q, r)):
-        for unit in range(size):
-            if lines[axis][unit]:
-                finals[lines[axis][unit][-1]].append((axis, unit))
-            else:
-                idle.append((axis, unit))
+    # lines[unit]: the positions of the unit's free cells, ascending.
+    lines: list[list[int]] = [[] for _ in range(p + q + r)]
+    for pos, cell in enumerate(units):
+        for unit in cell:
+            lines[unit].append(pos)
+    for unit, line in enumerate(lines):
+        if line:
+            finals[line[-1]].append(unit)
+        else:
+            idle.append(unit)
 
     bounds_at: list[list] = [[] for _ in free]
     reductions: dict[tuple, tuple[int, tuple | None]] = {}
     families = () if transport_only else _compile_constraints(p, q, r)
-    for axis, family in zip((1, 0), families):
-        # Check (j, i) compares a side on line j - 1 with one on line j.
+    for offset, family in zip((p, 0), families):
+        # Check (j, i) compares a side on unit offset + j - 1 with one on offset + j.
         for (j, _), pair, (lhs_last, rhs_last) in zip(
             family.labels, family.checks, _closing(family.checks, pos_of)
         ):
@@ -533,30 +532,30 @@ def _plan(p: int, q: int, r: int, transport_only: bool) -> _Plan:
             bound = None
             if pos >= 0:
                 lower = lhs_last == pos
-                close, other, other_last = (j - 1, j, rhs_last) if lower else (j, j - 1, lhs_last)
-                line = lines[axis][other]
+                left, right = offset + j - 1, offset + j
+                close, other, other_last = (left, right, rhs_last) if lower else (right, left, lhs_last)
+                line = lines[other]
                 listed = line[bisect_right(line, other_last) : bisect_right(line, pos)]
-                bound = (axis, close, other, tuple(free[t] for t in listed), lower)
+                bound = (close, other, tuple(free[t] for t in listed), lower)
                 bounds_at[pos].append(bound)
             reductions[pair] = (pos, bound)
     # earliest: the first position listed by a bound at this position or later.
     earliest = len(free)
     memo_at = []
     for pos in reversed(range(1, len(free))):
-        for _, _, _, listed, _ in bounds_at[pos]:
+        for _, _, listed, _ in bounds_at[pos]:
             for t in listed:
                 earliest = min(earliest, pos_of[t])
         if earliest >= pos:
             memo_at.append(pos)
     return _Plan(
         free,
-        cells,
+        units,
         pos_of,
         tuple(idle),
         tuple(map(tuple, finals)),
         tuple(map(tuple, bounds_at)),
         reductions,
-        frozenset(pos for pos in range(1, len(cells)) if cells[pos][2] != cells[pos - 1][2]),
         frozenset(memo_at),
     )
 
@@ -566,20 +565,17 @@ def _radix(p: int, q: int, r: int, transport_only: bool, n: int):
     """Weights that pack a search state into one int: ``(weights, digits)``.
 
     A state is read as a mixed-radix number.  Its lowest digit is the
-    position, of base b = pqr + 1.  Above it sit the row, column and level
-    residuals, each a digit of base B = n + 1 with place value
-    ``digits[d]`` (rows first), and a sentinel 1 at ``digits[-1]``, above
-    the last level.  Assigning v to the free cell at ``pos`` lowers its
-    row, column and level residuals by v, so the state by
-    ``v * weights[pos]``.  With D = p + q + r the keys of one r lie in
-    [b B^D, 2 b B^D), below those of r + 1, so the keys of one (lam, mu)
-    never collide across tau.
+    position, of base b = pqr + 1.  Above it sit the residuals, each a digit
+    of base B = n + 1: unit u (see ``_Plan``) has place value ``digits[u]``,
+    and a sentinel 1 sits at ``digits[-1]``, above the last level.
+    Assigning v to the free cell at ``pos`` lowers its three units'
+    residuals by v, so the state by ``v * weights[pos]``.  With
+    D = p + q + r the keys of one r lie in [b B^D, 2 b B^D), below those of
+    r + 1, so the keys of one (lam, mu) never collide across tau.
     """
     base = p * q * r + 1
     digits = tuple(base * (n + 1) ** d for d in range(p + q + r + 1))
-    weights = tuple(
-        digits[i] + digits[p + j] + digits[p + q + k] for i, j, k in _plan(p, q, r, transport_only).cells
-    )
+    weights = tuple(digits[a] + digits[b] + digits[c] for a, b, c in _plan(p, q, r, transport_only).units)
     return weights, digits
 
 
@@ -623,12 +619,13 @@ def _search(
     """Depth-first assignment of all integer points; returns their number.
 
     Cells are visited in the plan's order (see ``_Plan``): levels in turn,
-    each from its last cell back.  Each node works out once the bounds
-    ``lb`` and ``ub`` on its cell's value that the row, column and level
-    residuals and the checks closing there allow (see ``_Plan``), and tries
-    ``lb .. ub`` in ascending order, so no value a check rejects is tried.
-    A unit's last free cell takes its forced value, if that lies in
-    ``[lb, ub]``.
+    each from its last cell back.  ``rem`` is one residual vector over the
+    plan's units, rows then columns then levels, starting at ``target`` =
+    lam + mu + tau.  Each node works out once the bounds ``lb`` and ``ub``
+    on its cell's value that its three units' residuals and the checks
+    closing there allow (see ``_Plan``), and tries ``lb .. ub`` in
+    ascending order, so no value a check rejects is tried.  A unit's last
+    free cell takes its forced value, if that lies in ``[lb, ub]``.
 
     With ``forms`` (see ``_face_forms``) only the points on the union of
     their faces count.  Each form is decided where its last free cell is
@@ -639,32 +636,31 @@ def _search(
     subtree is counted once per state at every position of ``memo_at``
     (see ``_Plan``): no bound from there on lists an earlier cell, and a
     form is a single cell, which lists nothing, or a check whose bound is
-    one of the plan's, so the position and the row, column and level
-    residuals decide the rest of the search.  ``rec`` carries that state
-    as one int (see ``_radix``) and lowers it by ``v * weights[pos]`` for
-    each value v it assigns.  Of the targets, only lam and mu enter the
-    bounds, so the key is exact across every tau of one (lam, mu): the
-    level residuals tell apart taus of one length, and the sentinel and
-    the position's base tell apart r.  A state on the union counts every
-    point below it, as in a plain search, so its count goes into
-    ``_memo_slot``, shared by every count of the same (lam, mu,
-    transport_only); a state off the union counts only the points on this
-    search's union, so its count goes into a memo of this search.  A count
-    is stored only once its subtree is complete, so an interrupted search
-    leaves the slot exact.  With ``on_solution`` the memo is off and every
-    point reaches it, in search order.
+    one of the plan's, so the position and the residuals decide the rest
+    of the search.  ``rec`` carries that state as one int (see ``_radix``)
+    and lowers it by ``v * weights[pos]`` for each value v it assigns.  Of
+    the targets, only lam and mu enter the bounds, so the key is exact
+    across every tau of one (lam, mu): the level residuals tell apart taus
+    of one length, and the sentinel and the position's base tell apart r.  A
+    state on the union counts every point below it, as in a plain search, so
+    its count goes into ``_memo_slot``, shared by every count of the same
+    (lam, mu, transport_only); a state off the union counts only the points
+    on this search's union, so its count goes into a memo of this search.  A
+    count is stored only once its subtree is complete, so an interrupted
+    search leaves the slot exact.  With ``on_solution`` the memo is off and
+    every point reaches it, in search order.
     """
     p, q, r = system.dims
     plan = _plan(p, q, r, system.transport_only)
-    targets = (system.lam, system.mu, system.tau)
-    if any(targets[axis][unit] for axis, unit in plan.idle):
+    target = system.lam + system.mu + system.tau
+    if any(target[unit] for unit in plan.idle):
         return 0
     form_plan = None if forms is None else _form_plan(forms, p, q, r, system.transport_only)
     # Without forms (or with one that is 0 everywhere) every branch is on the union.
     forms_at, last = form_plan or ((), 0)
     if last < 0:
         return 0
-    free_cells, cells, unit_last, bounds_at = plan.free, plan.cells, plan.finals, plan.bounds_at
+    free_cells, units, unit_last, bounds_at = plan.free, plan.units, plan.finals, plan.bounds_at
     n_free = len(free_cells)
     weights, digits = _radix(p, q, r, system.transport_only, sum(system.lam))
     global _memo_slot
@@ -679,15 +675,11 @@ def _search(
         memo_at = frozenset()
 
     entries = [0] * (p * q * r)
-    row_rem = list(system.lam)
-    col_rem = list(system.mu)
-    lev_rem = list(system.tau)
-    rems = (row_rem, col_rem, lev_rem)
+    rem = list(target)
 
     def gap(bound) -> int:
         """The other side's sum less the closing line's assigned part."""
-        axis, close, other, listed, _ = bound
-        rem, target = rems[axis], targets[axis]
+        close, other, listed, _ = bound
         listed_sum = sum(entries[t] for t in listed)
         return target[other] - rem[other] - listed_sum - (target[close] - rem[close])
 
@@ -703,12 +695,11 @@ def _search(
             found = memo.get(key)
             if found is not None:
                 return found
-        i, j, k = cells[pos]
+        a, b, c = units[pos]
         lb = 0
-        ub = min(row_rem[i], col_rem[j], lev_rem[k])
-        for axis, close, other, listed, lower in bounds_at[pos]:
+        ub = min(rem[a], rem[b], rem[c])
+        for close, other, listed, lower in bounds_at[pos]:
             # gap(), inlined: this loop runs at every node.
-            rem, target = rems[axis], targets[axis]
             d = target[other] - rem[other] - target[close] + rem[close]
             for t in listed:
                 d -= entries[t]
@@ -719,9 +710,9 @@ def _search(
                 ub = d
         finals = unit_last[pos]
         if finals:
-            need = rems[finals[0][0]][finals[0][1]]
-            for axis, unit in finals[1:]:
-                if rems[axis][unit] != need:
+            need = rem[finals[0]]
+            for unit in finals[1:]:
+                if rem[unit] != need:
                     return 0
             if not lb <= need <= ub:
                 return 0
@@ -738,22 +729,20 @@ def _search(
         total = 0
         for v in values:
             entries[idx] = v
-            row_rem[i] -= v
-            col_rem[j] -= v
-            lev_rem[k] -= v
-            if hit or v in hits:
-                total += rec(pos + 1, True, state - v * weight)
-            elif pos < last:
-                total += rec(pos + 1, False, state - v * weight)
-            row_rem[i] += v
-            col_rem[j] += v
-            lev_rem[k] += v
+            rem[a] -= v
+            rem[b] -= v
+            rem[c] -= v
+            # An off-union branch at ``last`` tries only hit values, so none runs past it.
+            total += rec(pos + 1, hit or v in hits, state - v * weight)
+            rem[a] += v
+            rem[b] += v
+            rem[c] += v
         entries[idx] = 0
         if memoized:
             memo[key] = total
         return total
 
-    state = sum(x * digit for x, digit in zip(row_rem + col_rem + lev_rem, digits)) + digits[-1]
+    state = sum(x * digit for x, digit in zip(rem, digits)) + digits[-1]
     try:
         return rec(0, form_plan is None, state)
     finally:

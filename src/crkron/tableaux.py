@@ -332,7 +332,10 @@ def _lr_skew_content_counts(outer: Partition, inner: Partition) -> tuple[tuple[P
                 used[v] -= 1
         grid.pop((i, j), None)
 
-    fill(0, 0)
+    try:
+        fill(0, 0)
+    finally:
+        del fill  # fill reaches itself through its closure: break that cycle
     return tuple(sorted(counts.items()))
 
 
@@ -356,8 +359,11 @@ def _shapes_between(lower: Partition, upper: Partition, size: int) -> tuple[Part
             if floor[row + 1] <= rest <= sum(min(u, value) for u in upper[row + 1 :]):
                 go(row + 1, rest, value, built + (value,))
 
-    if floor[0] <= size <= sum(upper):
-        go(0, size, size, ())
+    try:
+        if floor[0] <= size <= sum(upper):
+            go(0, size, size, ())
+    finally:
+        del go  # go reaches itself through its closure: break that cycle
     return tuple(out)
 
 

@@ -1,4 +1,5 @@
 import ast
+import gc
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from crkron import kronecker, tableaux
 from crkron.characters import g_oracle, lr_oracle
 from crkron.kronecker import (
     JTPairTerm,
@@ -492,6 +494,37 @@ def test_face_terms_n18_pinned():
 def test_cr_count_reorder_invariant_memo():
     assert cr_count((2, 1), (2, 1), (1, 2)) == cr_count((2, 1), (2, 1), (2, 1))
     assert cr_count((2, 1), (2, 1), (2, 1, 0)) == cr_count((2, 1), (2, 1), (2, 1))
+
+
+def test_expansions_and_lr_counts_leave_no_cyclic_garbage():
+    # The recursive walkers of the determinant expansions and of the LR
+    # counts are freed by reference counting alone, so a paused collector
+    # finds nothing to collect after an uncached call.
+    caches = (
+        kronecker._jt_expansion_cached,
+        kronecker._jt_pair_expansion_cached,
+        tableaux._lr_skew_content_counts,
+        tableaux._shapes_between,
+        tableaux._lr_multitableau_contents,
+        tableaux._kostka,
+    )
+    calls = (
+        lambda: jt_expansion((5, 3, 2)),
+        lambda: jt_pair_expansion((5, 3, 2)),
+        lambda: tableaux.count_lr_pairs((3, 2, 1), (3, 2, 1), (2, 2, 2)),
+        lambda: tableaux.kostka((4, 2, 1), (2, 2, 2, 1)),
+    )
+    for call in calls:
+        warm = call()
+        for cache in caches:
+            cache.cache_clear()
+        gc.collect()
+        gc.disable()
+        try:
+            assert call() == warm
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_invariant_violations_raise_under_optimize():

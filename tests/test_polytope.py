@@ -1,5 +1,6 @@
 import gc
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -181,6 +182,47 @@ def test_jt_term_counts_n18_pinned():
     }
     for tau, count in expected.items():
         assert count_points(CRSystem(lam, mu, tau)) == count, tau
+
+
+def _transport_reference(lam, mu, tau):
+    """|T(lam, mu, tau)| by a level-by-level contingency-table DP.  After
+    each level the state is the row and column residuals; a level is filled
+    one cell at a time, carrying what is left of its total."""
+    p, q = len(lam), len(mu)
+    states = Counter({(tuple(lam), tuple(mu)): 1})
+    for total in tau:
+        cells = Counter({(rows, cols, total): ways for (rows, cols), ways in states.items()})
+        for i in range(p):
+            for j in range(q):
+                after = Counter()
+                for (rows, cols, left), ways in cells.items():
+                    for v in range(min(rows[i], cols[j], left) + 1):
+                        row_rem = rows[:i] + (rows[i] - v,) + rows[i + 1 :]
+                        col_rem = cols[:j] + (cols[j] - v,) + cols[j + 1 :]
+                        after[row_rem, col_rem, left - v] += ways
+                cells = after
+        states = Counter({(rows, cols): ways for (rows, cols, left), ways in cells.items() if left == 0})
+    return states[(0,) * p, (0,) * q]
+
+
+def test_transport_counts_match_contingency_table_dp():
+    # Transport plans have no bounds: the residual vector alone prunes them.
+    pinned = {
+        ((4, 3, 2, 1), (4, 3, 2, 1), (4, 3, 2, 1)): 874368,
+        ((5, 4, 3), (6, 4, 2), (4, 4, 4)): 127722,
+    }
+    for (lam, mu, tau), count in pinned.items():
+        assert _transport_reference(lam, mu, tau) == count
+        assert count_points(CRSystem(lam, mu, tau, transport_only=True)) == count
+    # n = 6 with at most five parts (six-part margins make the DP slow),
+    # sorted triples and compositions with zero levels.
+    parts = [part for part in partitions_of(6) if len(part) <= 5]
+    zeros = [(0, 3, 0, 2, 1), (6, 0), (0, 0, 6)]
+    for lam in parts:
+        for mu in parts:
+            for tau in [tau for tau in parts if lam >= mu >= tau] + (zeros if lam >= mu else []):
+                system = CRSystem(lam, mu, tau, transport_only=True)
+                assert count_points(system) == _transport_reference(lam, mu, tau), system
 
 
 def test_enumerate_against_transport_filter():
@@ -558,6 +600,11 @@ def _named_faces(p, q, r):
     return faces
 
 
+def _level_starts(free, p, q):
+    """The positions of the first free cell of every level after the first."""
+    return {pos for pos in range(1, len(free)) if free[pos] // (p * q) != free[pos - 1] // (p * q)}
+
+
 def test_level_cuts_split_checks_and_forms_at_whole_lines():
     # The memo key at a level cut is the residuals alone.  That is exact
     # because, for every check or face form still open at the cut, each
@@ -569,15 +616,12 @@ def test_level_cuts_split_checks_and_forms_at_whole_lines():
                 plan = polytope._plan(p, q, r, False)
                 pairs = [check for family in polytope._compile_constraints(p, q, r) for check in family.checks]
                 pairs += [form for face in _named_faces(p, q, r) for form in polytope._face_forms(face, p, q, r)]
-                cells = plan.cells
-                level_starts = {pos for pos in range(1, len(cells)) if cells[pos][2] != cells[pos - 1][2]}
-                assert plan.cuts == level_starts, (p, q, r)
-                for cut in level_starts:
+                for cut in _level_starts(plan.free, p, q):
                     assigned = set(plan.free[:cut])
                     lines = {}
-                    for idx, (i, j, _) in zip(plan.free, cells[:cut]):
-                        lines.setdefault((0, i), set()).add(idx)
-                        lines.setdefault((1, j), set()).add(idx)
+                    for idx, (row, col, _) in zip(plan.free, plan.units[:cut]):
+                        lines.setdefault(row, set()).add(idx)
+                        lines.setdefault(col, set()).add(idx)
                     whole = {frozenset(line) for line in lines.values()}
                     for lhs, rhs in pairs:
                         if all(plan.pos_of.get(t, -1) < cut for t in lhs + rhs):
@@ -605,11 +649,11 @@ def test_memo_positions_read_no_earlier_cell():
                         return any(
                             plan.pos_of[t] < c
                             for bounds in plan.bounds_at[c:]
-                            for _, _, _, listed, _ in bounds
+                            for _, _, listed, _ in bounds
                             for t in listed
                         )
 
-                    assert plan.cuts <= plan.memo_at, shape
+                    assert _level_starts(plan.free, p, q) <= plan.memo_at, shape
                     # every position after the first that reads no earlier cell, and no other
                     assert plan.memo_at == {c for c in range(1, n_free) if not reads_earlier(c)}, shape
                     if transport_only:
@@ -670,17 +714,21 @@ def test_checks_and_forms_reduce_to_bounds_on_the_closing_cell():
     # column for the column family, a tensor row for the row family) less
     # the listed cells, and the closing cell lies in exactly one side.  A
     # compiled check's form is 0 where that bound is tight, a single cell's
-    # form where v = 0.
+    # form where v = 0.  Lines are units: row i, column p + j, level p + q + k.
     for p in range(1, 6):
         for q in range(1, 7):
             for r in range(1, 5):
                 plan = polytope._plan(p, q, r, False)
-                free, cells, pos_of = plan.free, plan.cells, plan.pos_of
+                free, units, pos_of = plan.free, plan.units, plan.pos_of
 
-                def line_cells(axis, unit, upto):
-                    return {free[pos] for pos in range(upto + 1) if cells[pos][axis] == unit}
+                def line_cells(unit, upto):
+                    return {free[pos] for pos in range(upto + 1) if unit in units[pos]}
 
-                checks = [pair for family in polytope._compile_constraints(p, q, r) for pair in family.checks]
+                families = polytope._compile_constraints(p, q, r)
+                checks = [pair for family in families for pair in family.checks]
+                # the axis of each check's lines: columns (1) or rows (0)
+                axis_of = {pair: axis for axis, family in zip((1, 0), families) for pair in family.checks}
+                unit_ranges = (range(p), range(p, p + q))
                 listed_bounds = sorted((pos, bound) for pos, bounds in enumerate(plan.bounds_at) for bound in bounds)
                 assert listed_bounds == sorted(
                     plan.reductions[pair] for pair in checks if plan.reductions[pair][0] >= 0
@@ -692,14 +740,16 @@ def test_checks_and_forms_reduce_to_bounds_on_the_closing_cell():
                     if close_pos < 0:
                         assert bound is None
                         continue
-                    axis, close, other, listed, lower = bound
+                    close, other, listed, lower = bound
                     closing = free[close_pos]
                     assert (closing in lhs) != (closing in rhs)
                     assert lower == (closing in lhs)
-                    assert cells[close_pos][axis] == close
+                    axis = axis_of[pair]
+                    assert units[close_pos][axis] == close
+                    assert other in unit_ranges[axis] and abs(other - close) == 1
                     close_side, other_side = (lhs, rhs) if lower else (rhs, lhs)
-                    assert {t for t in close_side if t in pos_of} == line_cells(axis, close, close_pos)
-                    other_line = line_cells(axis, other, close_pos)
+                    assert {t for t in close_side if t in pos_of} == line_cells(close, close_pos)
+                    other_line = line_cells(other, close_pos)
                     assert set(listed) <= other_line and len(set(listed)) == len(listed)
                     assert {t for t in other_side if t in pos_of} == other_line - set(listed)
                 for face in _named_faces(p, q, r):
@@ -734,12 +784,10 @@ def test_checks_and_forms_reduce_to_bounds_on_the_closing_cell():
                         if bound is None:
                             assert lhs_sum - rhs_sum == v
                             continue
-                        axis, close, other, listed, lower = bound
+                        close, other, listed, lower = bound
 
                         def assigned(unit):
-                            return sum(
-                                entries[free[pos]] for pos in range(close_pos) if cells[pos][axis] == unit
-                            )
+                            return sum(entries[free[pos]] for pos in range(close_pos) if unit in units[pos])
 
                         d = assigned(other) - sum(entries[t] for t in listed) - assigned(close)
                         other_sum, close_sum = (rhs_sum, lhs_sum) if lower else (lhs_sum, rhs_sum)
