@@ -9,57 +9,54 @@ each side of which is a run of one column of its flattening: a family is
 compiled by mapping each column's cells to flat indices once and slicing.
 
 Counting is exhaustive: a depth-first assignment of entries, level by
-level from level 1 up, and within each level from its last cell (row p,
-column q) back to its first, pruned by marginal residuals and by each
-inequality as soon as its last referenced entry has been assigned.  Every
-canonicity check reads a lower run of a column (or a right run of a row)
-of its highest level plus cells of the levels below, so in this order it
-closes as soon as that lower-right block of its level is filled, not in
-the level's last row.  There it is a bound on the closing cell's value:
-each side is the assigned part of one tensor column (or row), known from
-the residuals, less a few listed cells, and the closing cell lies in one
-side only, so the check reads v >= d or v <= d.  A node works out its
-bounds once and tries only the values between them.  A union of faces is
-counted by the same recursion, with each face compiled to a linear form
-that is 0 exactly on it: a single cell, or the compiled check whose
-tightness the face names.  Each form is decided at its last free cell,
-where exactly one value of that cell makes it 0 (0 for a cell, the bound
-for a check); a flag ``hit`` marks the branches already on the union, and
-a branch off it tries only those values at the last deciding cell.  No
-floating point anywhere; rational data uses ``fractions.Fraction``.
+level from level 1 up, and within each level by antidiagonals, from the
+last (row p, column q) back to the first, rows ascending within one,
+pruned by marginal residuals and by each inequality as soon as its last
+referenced entry has been assigned.  Every canonicity check reads a lower
+run of a column (or a right run of a row) of its highest level plus cells
+of the levels below, and every row and column meets each antidiagonal in
+one cell.  So where a check closes, each side is the assigned part of one
+tensor column (or row), known from the residuals, and the closing cell
+lies in one side only: the check is a bound v >= d or v <= d on the
+closing cell's value.  A node works out its bounds once and tries only the
+values between them.  A union of faces is counted by the same recursion,
+with each face compiled to a linear form that is 0 exactly on it: a single
+cell, or the compiled check whose tightness the face names.  Each form is
+decided at its last free cell, where exactly one value of that cell makes
+it 0 (0 for a cell, the bound for a check); a flag ``hit`` marks the
+branches already on the union, and a branch off it tries only those values
+at the last deciding cell.  No floating point anywhere; rational data uses
+``fractions.Fraction``.
 
-The search is exact but does not visit every point when it only counts.
-It looks up its state at every position where no check or form still to
-close lists a cell assigned before it: every level cut and most cells
-inside a level.  There the assigned cells reach the rest of the search
-only through the residuals, so the state is the position and the
-residuals, packed into one int that each assignment lowers by one product
-(``_radix``).  The search treats the three margins alike: row i, column j
-and level k are the units i, p + j and p + q + k (0-based) of one residual
-vector, which starts at the concatenated targets lam + mu + tau.  Equal
-states have equal subtrees, so each is counted once: the transfer-matrix
-method (Stanley, Enumerative Combinatorics I, 4.7) run depth first.  The set-up that depends on the
-shape only (free cells, unit completions, the checks' bounds by closing
-position, memo positions) is built once per (p, q, r) and kept
-(``_plan``).  The search takes one frame per
-free cell, so ``_plan`` counts the free cells from the two staircases and
-refuses a shape whose free cells reach the recursion limit with
-``RecursionError`` before it compiles any check.  A subtree on the face
-union counts all its points, as a plain search does, and lam and mu fix
-the rest: the memo of the states on the union outlives the search.  One
-slot keeps it for the last (lam, mu, transport_only) counted, across
-every tau and face union of that pair, and a search of another pair
-replaces it, so memory stays bounded by one pair's states.  A state off
-the union counts only the points on one search's union, so that memo
-lives for the search.  Enumeration runs the same recursion with the memo
-off and sorts the points it finds.
+The search is exact but does not visit every point when it only counts.  No
+bound reads a cell, so at every position the assigned cells reach the rest
+of the search only through the residuals, and the search looks up its
+state at every position: the position and the residuals, packed into one
+int that each assignment lowers by one product (``_radix``).  The search
+treats the three margins alike: row i, column j and level k are the units
+i, p + j and p + q + k (0-based) of one residual vector, which starts at
+the concatenated targets lam + mu + tau.  Equal states have equal
+subtrees, so each is counted once: the transfer-matrix method (Stanley,
+Enumerative Combinatorics I, 4.7) run depth first.  The set-up that
+depends on the shape only (free cells, unit completions, the checks'
+bounds by closing position) is built once per (p, q, r) and kept
+(``_plan``).  The search takes one frame per free cell, so ``_plan``
+counts the free cells from the two staircases and refuses a shape whose
+free cells reach the recursion limit with ``RecursionError`` before it
+compiles any check.  A subtree on the face union counts all its points, as
+a plain search does, and lam and mu fix the rest: the memo of the states
+on the union outlives the search.  One slot keeps it for the last (lam,
+mu, transport_only) counted, across every tau and face union of that pair,
+and a search of another pair replaces it, so memory stays bounded by one
+pair's states.  A state off the union counts only the points on one
+search's union, so that memo lives for the search.  Enumeration runs the
+same recursion with the memo off and sorts the points it finds.
 """
 
 from __future__ import annotations
 
 import random
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -434,9 +431,7 @@ class _Plan(NamedTuple):
     """Search set-up of one (p, q, r) shape: everything but the targets.
 
     Free cells are searched level by level, level 1 first, and each level
-    backwards from its last flat index, so a check closes once the rows
-    (or columns) it reads in its highest level are filled, not at the
-    level's last row.
+    by antidiagonals, largest i + j first, rows ascending within one.
     ``units`` holds the three unit ids (row i, column p + j, level
     p + q + k, 0-based) of each free position, ``pos_of`` the position of
     each free flat index, ``idle`` the units with no free cell and
@@ -445,25 +440,25 @@ class _Plan(NamedTuple):
     Each check is reduced once, at the position where it closes, to a bound
     on that cell's value v.  Its two sides lie in two adjacent units of one
     margin: a column-family side is a bottom run of one stack column, so of
-    one tensor column, and a row-family side one of one concatenation row,
-    so of one tensor row.  Either way a side's free cells are the
-    first ones its line meets in search order, so at the closing position
-    its sum is the assigned part of its line, target minus residual, less
-    the line's later assigned cells (``listed``).  The closing cell lies in
-    exactly one side, whose line is the cell's own unit on that margin and
-    which lists nothing; with ``d`` the other side's sum less the closing
-    line's assigned part before v, the check reads v >= d when the closing
-    side is the left one and v <= d when it is the right one.
-    ``bounds_at`` holds at each position the bounds ``(close, other,
-    listed, lower)`` of the checks closing there, with ``close`` and
-    ``other`` unit ids, and ``reductions`` maps every check to its closing
-    position (-1 if it has no free cell) and its bound (None then).
+    one tensor column, and a row-family side a right run of one
+    concatenation row, so of one tensor row.  Either way a side's free
+    cells are the first ones its line meets in search order.  The two runs
+    start one row and one column apart, on one antidiagonal (or at a
+    level's edge), and a row or column meets each antidiagonal in one
+    cell, so at the closing position each side holds every assigned cell
+    of its line: its sum is target minus residual.  The closing cell lies
+    in exactly one side, whose line is the cell's own unit on that margin;
+    with ``d`` the other side's sum less the closing line's assigned part
+    before v, the check reads v >= d when the closing side is the left one
+    and v <= d when it is the right one.  ``bounds_at`` holds at each
+    position the bounds ``(close, other, lower)`` of the checks closing
+    there, with ``close`` and ``other`` unit ids, and ``reductions`` maps
+    every check to its closing position (-1 if it has no free cell) and
+    its bound (None then).
 
-    ``memo_at`` holds the positions c >= 1 where the search looks up its
-    memo: those where no bound at c or later lists a cell assigned before
-    c.  There the cells already assigned reach the rest of the search only
-    through the residuals, so the position and the residuals fix it.  Every
-    level cut is one of them, and most positions inside a level are too.
+    No bound reads a cell, so at every position the cells already assigned
+    reach the rest of the search only through the residuals, and the
+    position and the residuals fix it.
     """
 
     free: tuple[int, ...]
@@ -473,7 +468,6 @@ class _Plan(NamedTuple):
     finals: tuple[tuple[int, ...], ...]
     bounds_at: tuple[tuple[tuple, ...], ...]
     reductions: dict[tuple, tuple[int, tuple | None]]
-    memo_at: frozenset[int]
 
 
 def _closing(pairs, pos_of: dict[int, int]) -> list:
@@ -494,11 +488,12 @@ def _closing(pairs, pos_of: dict[int, int]) -> list:
 @lru_cache(maxsize=None)
 def _plan(p: int, q: int, r: int, transport_only: bool) -> _Plan:
     forced = set() if transport_only else _forced(p, q, r)
+    # Level by level, each by antidiagonals i + j from the last, rows ascending.
     free = tuple(
-        idx
-        for k in range(r)
-        for idx in reversed(range(k * p * q, (k + 1) * p * q))
-        if idx not in forced
+        sorted(
+            (idx for idx in range(p * q * r) if idx not in forced),
+            key=lambda idx: (idx // (p * q), -(idx // q % p + idx % q), idx),
+        )
     )
     limit = sys.getrecursionlimit()
     if len(free) >= limit:
@@ -507,16 +502,12 @@ def _plan(p: int, q: int, r: int, transport_only: bool) -> _Plan:
     pos_of = {idx: pos for pos, idx in enumerate(free)}
     units = tuple((idx // q % p, p + idx % q, p + q + idx // (p * q)) for idx in free)
 
+    last_of = {unit: pos for pos, cell in enumerate(units) for unit in cell}
     finals: list[list[int]] = [[] for _ in free]
     idle = []
-    # lines[unit]: the positions of the unit's free cells, ascending.
-    lines: list[list[int]] = [[] for _ in range(p + q + r)]
-    for pos, cell in enumerate(units):
-        for unit in cell:
-            lines[unit].append(pos)
-    for unit, line in enumerate(lines):
-        if line:
-            finals[line[-1]].append(unit)
+    for unit in range(p + q + r):
+        if unit in last_of:
+            finals[last_of[unit]].append(unit)
         else:
             idle.append(unit)
 
@@ -533,21 +524,9 @@ def _plan(p: int, q: int, r: int, transport_only: bool) -> _Plan:
             if pos >= 0:
                 lower = lhs_last == pos
                 left, right = offset + j - 1, offset + j
-                close, other, other_last = (left, right, rhs_last) if lower else (right, left, lhs_last)
-                line = lines[other]
-                listed = line[bisect_right(line, other_last) : bisect_right(line, pos)]
-                bound = (close, other, tuple(free[t] for t in listed), lower)
+                bound = (left, right, lower) if lower else (right, left, lower)
                 bounds_at[pos].append(bound)
             reductions[pair] = (pos, bound)
-    # earliest: the first position listed by a bound at this position or later.
-    earliest = len(free)
-    memo_at = []
-    for pos in reversed(range(1, len(free))):
-        for _, _, listed, _ in bounds_at[pos]:
-            for t in listed:
-                earliest = min(earliest, pos_of[t])
-        if earliest >= pos:
-            memo_at.append(pos)
     return _Plan(
         free,
         units,
@@ -556,7 +535,6 @@ def _plan(p: int, q: int, r: int, transport_only: bool) -> _Plan:
         tuple(map(tuple, finals)),
         tuple(map(tuple, bounds_at)),
         reductions,
-        frozenset(memo_at),
     )
 
 
@@ -619,13 +597,14 @@ def _search(
     """Depth-first assignment of all integer points; returns their number.
 
     Cells are visited in the plan's order (see ``_Plan``): levels in turn,
-    each from its last cell back.  ``rem`` is one residual vector over the
-    plan's units, rows then columns then levels, starting at ``target`` =
-    lam + mu + tau.  Each node works out once the bounds ``lb`` and ``ub``
-    on its cell's value that its three units' residuals and the checks
-    closing there allow (see ``_Plan``), and tries ``lb .. ub`` in
-    ascending order, so no value a check rejects is tried.  A unit's last
-    free cell takes its forced value, if that lies in ``[lb, ub]``.
+    each by antidiagonals from its last cell back.  ``rem`` is one residual
+    vector over the plan's units, rows then columns then levels, starting
+    at ``target`` = lam + mu + tau.  Each node works out once the bounds
+    ``lb`` and ``ub`` on its cell's value that its three units' residuals
+    and the checks closing there allow (see ``_Plan``), and tries
+    ``lb .. ub`` in ascending order, so no value a check rejects is tried.
+    A unit's last free cell takes its forced value, if that lies in
+    ``[lb, ub]``.
 
     With ``forms`` (see ``_face_forms``) only the points on the union of
     their faces count.  Each form is decided where its last free cell is
@@ -633,22 +612,22 @@ def _search(
     already on the union (from the start when there are no forms).  An
     off-union branch at the last deciding cell tries only the hit values,
     so no branch runs past it with every form nonzero.  When counting, each
-    subtree is counted once per state at every position of ``memo_at``
-    (see ``_Plan``): no bound from there on lists an earlier cell, and a
-    form is a single cell, which lists nothing, or a check whose bound is
-    one of the plan's, so the position and the residuals decide the rest
-    of the search.  ``rec`` carries that state as one int (see ``_radix``)
-    and lowers it by ``v * weights[pos]`` for each value v it assigns.  Of
-    the targets, only lam and mu enter the bounds, so the key is exact
-    across every tau of one (lam, mu): the level residuals tell apart taus
-    of one length, and the sentinel and the position's base tell apart r.  A
-    state on the union counts every point below it, as in a plain search, so
-    its count goes into ``_memo_slot``, shared by every count of the same
-    (lam, mu, transport_only); a state off the union counts only the points
-    on this search's union, so its count goes into a memo of this search.  A
-    count is stored only once its subtree is complete, so an interrupted
-    search leaves the slot exact.  With ``on_solution`` the memo is off and
-    every point reaches it, in search order.
+    subtree is counted once per state at every position: no bound reads a
+    cell (see ``_Plan``), and a form is a single cell or a check whose
+    bound is one of the plan's, so the position and the residuals decide
+    the rest of the search.  ``rec`` carries that state as one int (see
+    ``_radix``) and lowers it by ``v * weights[pos]`` for each value v it
+    assigns.  Of the targets, only lam and mu enter the bounds, so the key
+    is exact across every tau of one (lam, mu): the level residuals tell
+    apart taus of one length, and the sentinel and the position's base
+    tell apart r.  A state on the union counts every point below it, as in
+    a plain search, so its count goes into ``_memo_slot``, shared by every
+    count of the same (lam, mu, transport_only); a state off the union
+    counts only the points on this search's union, so its count goes into
+    a memo of this search.  A count is stored only once its subtree is
+    complete, so an interrupted search leaves the slot exact.  With
+    ``on_solution`` the memo is off and every point reaches it, in search
+    order.
     """
     p, q, r = system.dims
     plan = _plan(p, q, r, system.transport_only)
@@ -665,31 +644,26 @@ def _search(
     weights, digits = _radix(p, q, r, system.transport_only, sum(system.lam))
     global _memo_slot
     if on_solution is None:
-        memo_at = plan.memo_at
         pair = (system.lam, system.mu, system.transport_only)
         slot = _memo_slot  # read once: the memo taken is this pair's
         if slot[0] != pair:
             slot = _memo_slot = (pair, {})
         memos = ({}, slot[1])  # off the union, on it
-    else:
-        memo_at = frozenset()
 
     entries = [0] * (p * q * r)
     rem = list(target)
 
     def gap(bound) -> int:
         """The other side's sum less the closing line's assigned part."""
-        close, other, listed, _ = bound
-        listed_sum = sum(entries[t] for t in listed)
-        return target[other] - rem[other] - listed_sum - (target[close] - rem[close])
+        close, other, _ = bound
+        return target[other] - rem[other] - (target[close] - rem[close])
 
     def rec(pos: int, hit: bool, state: int) -> int:
         if pos == n_free:
             if on_solution is not None:
                 on_solution(entries)
             return 1
-        memoized = pos in memo_at
-        if memoized:
+        if on_solution is None:
             memo = memos[hit]
             key = state + pos
             found = memo.get(key)
@@ -698,11 +672,9 @@ def _search(
         a, b, c = units[pos]
         lb = 0
         ub = min(rem[a], rem[b], rem[c])
-        for close, other, listed, lower in bounds_at[pos]:
+        for close, other, lower in bounds_at[pos]:
             # gap(), inlined: this loop runs at every node.
             d = target[other] - rem[other] - target[close] + rem[close]
-            for t in listed:
-                d -= entries[t]
             if lower:
                 if d > lb:
                     lb = d
@@ -738,7 +710,7 @@ def _search(
             rem[b] += v
             rem[c] += v
         entries[idx] = 0
-        if memoized:
+        if on_solution is None:
             memo[key] = total
         return total
 

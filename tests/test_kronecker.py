@@ -184,6 +184,18 @@ def test_two_row_square_triples_pinned():
         assert kron_via_cr(*triple) == expected, m
 
 
+def test_four_row_square_triples_pinned():
+    # Four-row shapes are where the row family's checks close inside a
+    # level, and on four-row squares the search's memo does most of the work.
+    square5 = ((5, 5, 5, 5),) * 3
+    assert g_oracle(*square5) == 4
+    assert kron_via_cr(*square5) == 4
+    assert kron_via_faces(*square5, ell=1) == kron_via_faces(*square5, ell=2) == 4
+    square6 = ((6, 6, 6, 6),) * 3
+    assert g_oracle(*square6) == 16
+    assert kron_via_cr(*square6) == 16
+
+
 def test_z_matrix_displays():
     z1 = z_matrix(1, 2, 3, 2)
     assert z1.levels == (((-1, 0, 0), (0, 0, 0)), ((1, 0, 0), (0, 0, 0)))

@@ -631,42 +631,6 @@ def test_level_cuts_split_checks_and_forms_at_whole_lines():
                             assert not part or part in whole, ((p, q, r), cut, lhs, rhs)
 
 
-def test_memo_positions_read_no_earlier_cell():
-    # The search memoizes on the position and the residuals alone at every
-    # position c of memo_at.  That is exact because no bound at c or later,
-    # so no check and no face form decided there, lists a cell assigned
-    # before c: those cells reach the rest of the search only through the
-    # residuals.
-    for p in range(1, 6):
-        for q in range(1, 7):
-            for r in range(1, 5):
-                for transport_only in (False, True):
-                    plan = polytope._plan(p, q, r, transport_only)
-                    shape = (p, q, r, transport_only)
-                    n_free = len(plan.free)
-
-                    def reads_earlier(c):
-                        return any(
-                            plan.pos_of[t] < c
-                            for bounds in plan.bounds_at[c:]
-                            for _, _, listed, _ in bounds
-                            for t in listed
-                        )
-
-                    assert _level_starts(plan.free, p, q) <= plan.memo_at, shape
-                    # every position after the first that reads no earlier cell, and no other
-                    assert plan.memo_at == {c for c in range(1, n_free) if not reads_earlier(c)}, shape
-                    if transport_only:
-                        continue
-                    for face in _named_faces(p, q, r):
-                        for lhs, rhs in polytope._face_forms(face, p, q, r):
-                            if not rhs:
-                                assert len(lhs) == 1, (shape, face)
-                                continue
-                            pos, bound = plan.reductions[lhs, rhs]
-                            assert pos < 0 or bound in plan.bounds_at[pos], (shape, face)
-
-
 def test_count_leaves_no_cyclic_garbage():
     # A search frees its memos and closures by reference counting alone, so
     # a paused collector finds nothing to collect after a count.
@@ -709,16 +673,26 @@ def _points_of_shape(p, q, r, limit=8):
 
 
 def test_checks_and_forms_reduce_to_bounds_on_the_closing_cell():
-    # Each check becomes, at the cell where it closes, a bound on that cell's
-    # value v: each side's sum is the assigned part of its line (a tensor
-    # column for the column family, a tensor row for the row family) less
-    # the listed cells, and the closing cell lies in exactly one side.  A
-    # compiled check's form is 0 where that bound is tight, a single cell's
-    # form where v = 0.  Lines are units: row i, column p + j, level p + q + k.
+    # Each level is searched by antidiagonals, i + j from the last, and every
+    # row and column meets each antidiagonal once.  So each check becomes, at
+    # the cell where it closes, a bound on that cell's value v: each side's
+    # sum is the assigned part of its line (a tensor column for the column
+    # family, a tensor row for the row family), and the closing cell lies in
+    # exactly one side.  A compiled check's form is 0 where that bound is
+    # tight, a single cell's form where v = 0.  No bound reads a cell, so
+    # the position and the residuals fix the rest of the search, and the
+    # memo looks up every position.  Lines are units: row i, column p + j,
+    # level p + q + k.
     for p in range(1, 6):
         for q in range(1, 7):
             for r in range(1, 5):
+                transport = polytope._plan(p, q, r, True)
+                assert not any(transport.bounds_at) and not transport.reductions
                 plan = polytope._plan(p, q, r, False)
+                for each in (transport, plan):
+                    # units are (i, p + j, p + q + k): levels in turn, i + j non-increasing
+                    keys = [(k, -i - j) for i, j, k in each.units]
+                    assert keys == sorted(keys), (p, q, r)
                 free, units, pos_of = plan.free, plan.units, plan.pos_of
 
                 def line_cells(unit, upto):
@@ -729,8 +703,8 @@ def test_checks_and_forms_reduce_to_bounds_on_the_closing_cell():
                 # the axis of each check's lines: columns (1) or rows (0)
                 axis_of = {pair: axis for axis, family in zip((1, 0), families) for pair in family.checks}
                 unit_ranges = (range(p), range(p, p + q))
-                listed_bounds = sorted((pos, bound) for pos, bounds in enumerate(plan.bounds_at) for bound in bounds)
-                assert listed_bounds == sorted(
+                all_bounds = sorted((pos, bound) for pos, bounds in enumerate(plan.bounds_at) for bound in bounds)
+                assert all_bounds == sorted(
                     plan.reductions[pair] for pair in checks if plan.reductions[pair][0] >= 0
                 ), (p, q, r)
                 for pair in checks:
@@ -740,7 +714,7 @@ def test_checks_and_forms_reduce_to_bounds_on_the_closing_cell():
                     if close_pos < 0:
                         assert bound is None
                         continue
-                    close, other, listed, lower = bound
+                    close, other, lower = bound
                     closing = free[close_pos]
                     assert (closing in lhs) != (closing in rhs)
                     assert lower == (closing in lhs)
@@ -749,9 +723,8 @@ def test_checks_and_forms_reduce_to_bounds_on_the_closing_cell():
                     assert other in unit_ranges[axis] and abs(other - close) == 1
                     close_side, other_side = (lhs, rhs) if lower else (rhs, lhs)
                     assert {t for t in close_side if t in pos_of} == line_cells(close, close_pos)
-                    other_line = line_cells(other, close_pos)
-                    assert set(listed) <= other_line and len(set(listed)) == len(listed)
-                    assert {t for t in other_side if t in pos_of} == other_line - set(listed)
+                    # every free cell of the other line met so far, so no cell is listed
+                    assert {t for t in other_side if t in pos_of} == line_cells(other, close_pos), ((p, q, r), pair)
                 for face in _named_faces(p, q, r):
                     for form in polytope._face_forms(face, p, q, r):
                         form_plan = polytope._form_plan((form,), p, q, r, False)
@@ -784,12 +757,12 @@ def test_checks_and_forms_reduce_to_bounds_on_the_closing_cell():
                         if bound is None:
                             assert lhs_sum - rhs_sum == v
                             continue
-                        close, other, listed, lower = bound
+                        close, other, lower = bound
 
                         def assigned(unit):
                             return sum(entries[free[pos]] for pos in range(close_pos) if unit in units[pos])
 
-                        d = assigned(other) - sum(entries[t] for t in listed) - assigned(close)
+                        d = assigned(other) - assigned(close)
                         other_sum, close_sum = (rhs_sum, lhs_sum) if lower else (lhs_sum, rhs_sum)
                         assert d == other_sum - (close_sum - v), ((p, q, r), pair, point)
                         assert v >= d if lower else v <= d
