@@ -274,6 +274,8 @@ def face_term_breakdown(lam: Partition, mu: Partition, nu: Partition, ell: int =
     _check_face_ell(lam2, ell)
     if shortcut:
         return []
+    # Both unions depend only on len(lam2), len(mu2) and ell, so every term shares them.
+    plus, minus = face_F_plus(lam2, mu2, nu2, ell), face_F_minus(lam2, mu2, nu2, ell)
     breakdown = []
     for term in jt_pair_expansion(nu2):
         if term.b < 1:
@@ -284,10 +286,8 @@ def face_term_breakdown(lam: Partition, mu: Partition, nu: Partition, ell: int =
                 "sign": term.sign,
                 "tau": list(tau),
                 "tauBar": list(tau_bar),
-                "countPlus": count_points(CRSystem(lam2, mu2, tau), face_F_plus(lam2, mu2, tau, ell)),
-                "countMinus": count_points(
-                    CRSystem(lam2, mu2, tau_bar), face_F_minus(lam2, mu2, tau_bar, ell)
-                ),
+                "countPlus": count_points(CRSystem(lam2, mu2, tau), plus),
+                "countMinus": count_points(CRSystem(lam2, mu2, tau_bar), minus),
             }
         )
     return breakdown

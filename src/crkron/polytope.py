@@ -3,10 +3,11 @@
 A column-row polytope CR(lam, mu; tau) sits inside the 3-way transportation
 polytope T(lam, mu, tau).  Its extra constraints live on two flattenings of
 the p x q x r array X: the pr x q vertical stack of the level matrices
-(highest level on top) and the p x qr horizontal concatenation.  Both carry
-a vanishing staircase and a family of column/row prefix-sum inequalities,
-each side of which is a run of one column of its flattening: a family is
-compiled by mapping each column's cells to flat indices once and slicing.
+(highest level on top) and the p x qr horizontal concatenation.  There is
+one index layout: both flattenings as matrices of flat indices, the
+concatenation transposed (``_flattenings``).  The main lemma's vanishing
+staircase and prefix checks are read off either matrix alike, each side of
+a check a slice of one column (``_family``).
 
 Counting is exhaustive: a depth-first assignment of entries, level by
 level from level 1 up, and within each level by antidiagonals, from the
@@ -21,11 +22,12 @@ lies in one side only: the check is a bound v >= d or v <= d on the
 closing cell's value.  A node works out its bounds once and tries only the
 values between them.  A union of faces is counted by the same recursion,
 with each face compiled to a linear form that is 0 exactly on it: a single
-cell, or the compiled check whose tightness the face names.  Each form is
-decided at its last free cell, where exactly one value of that cell makes
-it 0 (0 for a cell, the bound for a check); a flag ``hit`` marks the
-branches already on the union, and a branch off it tries only those values
-at the last deciding cell.  No floating point anywhere; rational data uses
+cell, or the compiled check whose tightness the face names.  Every form is
+a bound at its last free cell, tight exactly where the form is 0: a check's
+own bound, or v >= 0 for a cell.  So exactly one value of that cell makes
+the form 0, the bound's tight value; a flag ``hit`` marks the branches
+already on the union, and a branch off it tries only those values at the
+last deciding cell.  No floating point anywhere; rational data uses
 ``fractions.Fraction``.
 
 The search is exact but does not visit every point when it only counts.  No
@@ -210,21 +212,6 @@ def _staircase(a: int, b: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, a + 1) for j in range(1, b + 1) if i + j > a + 1)
 
 
-def _canonicity(a: int, b: int):
-    """The main lemma's prefix checks on an a x b matrix.
-
-    Check ``((j, i), lhs, rhs)`` asks that rows i .. a+1-j of column j sum
-    to at least rows i-1 .. a-j of column j+1.  Each side is a run
-    ``(column, first row, last row)`` that ends at the last cell of its
-    column above the staircase.
-    """
-    return tuple(
-        ((j, i), (j, i, a + 1 - j), (j + 1, i - 1, a - j))
-        for j in range(1, min(a, b))
-        for i in range(2, a + 2 - j)
-    )
-
-
 class _Family(NamedTuple):
     """One canonicity family over flat indices."""
 
@@ -233,36 +220,32 @@ class _Family(NamedTuple):
     checks: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
-def _family(a: int, b: int, flat: Callable[[int, int], int]) -> _Family:
-    """``_staircase(a, b)`` and ``_canonicity(a, b)`` with each matrix cell
-    mapped through ``flat``.
+def _flattenings(p: int, q: int, r: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The flat indices laid out as the pr x q stack, highest level on top,
+    and as the transposed p x qr concatenation, highest level leftmost: the
+    layouts of ``Tensor3.flatten_col`` and of the transposed
+    ``Tensor3.flatten_row``."""
+    down = range(r - 1, -1, -1)  # 0-based levels, highest first
+    stack = tuple(tuple(range((k * p + i) * q, (k * p + i + 1) * q)) for k in down for i in range(p))
+    concat = tuple(tuple(range(k * p * q + j, (k + 1) * p * q, q)) for k in down for j in range(q))
+    return stack, concat
 
-    Each column's cells are mapped once; a run is a slice of its column.
+
+def _family(matrix: Sequence[Sequence[int]]) -> _Family:
+    """The main lemma's staircase cells and prefix checks on an a x b
+    matrix of flat indices.
+
+    Check ``(j, i)`` asks that rows i .. a+1-j of column j sum to at least
+    rows i-1 .. a-j of column j+1.  Each side is a slice of one column that
+    ends at the last cell of its column above the staircase.
     """
-    checks = _canonicity(a, b)
-    cols = [tuple(flat(row, j) for row in range(1, a + 1)) for j in range(1, b + 1)]
-
-    def run(j: int, first: int, last: int) -> tuple[int, ...]:
-        return cols[j - 1][first - 1 : last]
-
+    cols = tuple(zip(*matrix))
+    a, b = len(matrix), len(cols)
+    labels = tuple((j, i) for j in range(1, min(a, b)) for i in range(2, a + 2 - j))
     return _Family(
-        tuple(cols[j - 1][i - 1] for i, j in _staircase(a, b)),
-        tuple(label for label, _, _ in checks),
-        tuple((run(*lhs), run(*rhs)) for _, lhs, rhs in checks),
-    )
-
-
-def _flatteners(p: int, q: int, r: int):
-    """Flat index of cell (row, j) of the pr x q stack and of cell (col, i)
-    of the transposed p x qr concatenation.
-
-    Row ``row`` of the stack is row (row - 1) % p + 1 of level
-    r - (row - 1) // p; column ``col`` of the concatenation is column
-    (col - 1) % q + 1 of level r - (col - 1) // q.
-    """
-    return (
-        lambda row, j: _flat((row - 1) % p + 1, j, r - (row - 1) // p, p, q),
-        lambda col, i: _flat(i, (col - 1) % q + 1, r - (col - 1) // q, p, q),
+        tuple(matrix[i - 1][j - 1] for i, j in _staircase(a, b)),
+        labels,
+        tuple((cols[j - 1][i - 1 : a + 1 - j], cols[j][i - 2 : a - j]) for j, i in labels),
     )
 
 
@@ -270,16 +253,15 @@ def _flatteners(p: int, q: int, r: int):
 def _compile_constraints(p: int, q: int, r: int) -> tuple[_Family, _Family]:
     """Column and row families of the (p, q, r) column-row cone: canonicity
     of the pr x q stack and of the transposed p x qr concatenation."""
-    by_col, by_row = _flatteners(p, q, r)
-    return _family(p * r, q, by_col), _family(q * r, p, by_row)
+    stack, concat = _flattenings(p, q, r)
+    return _family(stack), _family(concat)
 
 
 def _forced(p: int, q: int, r: int) -> set[int]:
-    """Flat indices of both families' vanishing cells, read from the two
-    staircases alone: no check is compiled."""
-    by_col, by_row = _flatteners(p, q, r)
-    return {by_col(*cell) for cell in _staircase(p * r, q)} | {
-        by_row(*cell) for cell in _staircase(q * r, p)
+    """Flat indices of both families' vanishing cells, read off the two
+    staircases of ``_flattenings`` alone: no check is compiled."""
+    return {
+        m[i - 1][j - 1] for m in _flattenings(p, q, r) for i, j in _staircase(len(m), len(m[0]))
     }
 
 
@@ -454,7 +436,8 @@ class _Plan(NamedTuple):
     position the bounds ``(close, other, lower)`` of the checks closing
     there, with ``close`` and ``other`` unit ids, and ``reductions`` maps
     every check to its closing position (-1 if it has no free cell) and
-    its bound (None then).
+    its bound (None then).  A face form is entered as one of these bounds
+    (see ``_form_plan``).
 
     No bound reads a cell, so at every position the cells already assigned
     reach the rest of the search only through the residuals, and the
@@ -561,21 +544,22 @@ def _radix(p: int, q: int, r: int, transport_only: bool, n: int):
 def _form_plan(forms: tuple, p: int, q: int, r: int, transport_only: bool):
     """Face forms on a shape's plan: ``(forms_at, last)``.
 
-    Each form is decided where its last free cell is assigned (``forms_at``;
-    ``last`` is the last such position), and there it is 0 for exactly one
-    value of that cell, its hit value.  A single cell is 0 at 0; a compiled
-    check is 0 where its bound (see ``_Plan``) is tight, so it is entered
-    as that bound.  None when a form has no free cell: it is 0 everywhere,
-    so the whole polytope counts.
+    Every form is a bound ``(close, other, lower)`` (see ``_Plan``) at the
+    position of its last free cell (``forms_at``; ``last`` is the last such
+    position), tight exactly where the form is 0, so one value of that cell,
+    its hit value, makes it 0.  A compiled check is entered as its own
+    bound.  A single cell is the bound v >= 0, written with one unit (row 1)
+    on both sides so that d = 0: tight at v = 0.  None when a form has no
+    free cell: it is 0 everywhere, so the whole polytope counts.
     """
     plan = _plan(p, q, r, transport_only)
-    forms_at: list[list[tuple | None]] = [[] for _ in plan.free]
+    forms_at: list[list[tuple]] = [[] for _ in plan.free]
     last = -1
     for lhs, rhs in forms:
         if rhs:
             pos, bound = plan.reductions[lhs, rhs]
-        else:  # a single cell
-            pos, bound = plan.pos_of.get(lhs[0], -1), None
+        else:  # a single cell: v >= 0, with one unit (row 1) on both sides, so d = 0
+            pos, bound = plan.pos_of.get(lhs[0], -1), (0, 0, True)
         if pos < 0:
             return None
         forms_at[pos].append(bound)
@@ -607,17 +591,17 @@ def _search(
     ``[lb, ub]``.
 
     With ``forms`` (see ``_face_forms``) only the points on the union of
-    their faces count.  Each form is decided where its last free cell is
-    assigned, at its hit value (see ``_form_plan``); ``hit`` marks a branch
-    already on the union (from the start when there are no forms).  An
-    off-union branch at the last deciding cell tries only the hit values,
-    so no branch runs past it with every form nonzero.  When counting, each
-    subtree is counted once per state at every position: no bound reads a
-    cell (see ``_Plan``), and a form is a single cell or a check whose
-    bound is one of the plan's, so the position and the residuals decide
-    the rest of the search.  ``rec`` carries that state as one int (see
-    ``_radix``) and lowers it by ``v * weights[pos]`` for each value v it
-    assigns.  Of the targets, only lam and mu enter the bounds, so the key
+    their faces count.  Every form is a bound at its last free cell (see
+    ``_form_plan``), and a node off the union takes the tight values d of
+    its form bounds as hit values; ``hit`` marks a branch already on the
+    union (from the start when there are no forms).  An off-union branch at
+    the last deciding cell tries only the hit values, so no branch runs
+    past it with every form nonzero.  When counting, each subtree is
+    counted once per state at every position: no bound, of a check or of a
+    form, reads a cell (see ``_Plan``), so the position and the residuals
+    decide the rest of the search.  ``rec`` carries that state as one int
+    (see ``_radix``) and lowers it by ``v * weights[pos]`` for each value v
+    it assigns.  Of the targets, only lam and mu enter the bounds, so the key
     is exact across every tau of one (lam, mu): the level residuals tell
     apart taus of one length, and the sentinel and the position's base
     tell apart r.  A state on the union counts every point below it, as in
@@ -653,11 +637,6 @@ def _search(
     entries = [0] * (p * q * r)
     rem = list(target)
 
-    def gap(bound) -> int:
-        """The other side's sum less the closing line's assigned part."""
-        close, other, _ = bound
-        return target[other] - rem[other] - (target[close] - rem[close])
-
     def rec(pos: int, hit: bool, state: int) -> int:
         if pos == n_free:
             if on_solution is not None:
@@ -673,7 +652,7 @@ def _search(
         lb = 0
         ub = min(rem[a], rem[b], rem[c])
         for close, other, lower in bounds_at[pos]:
-            # gap(), inlined: this loop runs at every node.
+            # The other side's sum less the closing line's assigned part.
             d = target[other] - rem[other] - target[close] + rem[close]
             if lower:
                 if d > lb:
@@ -693,7 +672,8 @@ def _search(
             values = range(lb, ub + 1)
         hits = ()
         if not hit and forms_at[pos]:
-            hits = {0 if bound is None else gap(bound) for bound in forms_at[pos]}
+            # Each form is 0 where its bound is tight: v = d.
+            hits = {target[other] - rem[other] - target[close] + rem[close] for close, other, _ in forms_at[pos]}
             if pos == last:
                 values = [v for v in sorted(hits) if v in values]
         idx = free_cells[pos]

@@ -575,7 +575,18 @@ def test_compiled_constraints_match_cell_by_cell_reference():
     for p in range(1, 7):
         for q in range(1, 8):
             for r in range(1, 7):
-                assert polytope._compile_constraints(p, q, r) == _reference_constraints(p, q, r), (p, q, r)
+                families = polytope._compile_constraints(p, q, r)
+                assert families == _reference_constraints(p, q, r), (p, q, r)
+                # The tensor whose entries are their own flat indices lays out
+                # the two flattenings the families are read off.
+                own = Tensor3.from_levels(
+                    [[[(k * p + i) * q + j for j in range(q)] for i in range(p)] for k in range(r)]
+                )
+                stack, concat = polytope._flattenings(p, q, r)
+                assert stack == own.flatten_col(), (p, q, r)
+                assert concat == tuple(zip(*own.flatten_row())), (p, q, r)
+                # the depth guard's forced cells are the compiled vanishing cells
+                assert polytope._forced(p, q, r) == {t for family in families for t in family.vanishing}
 
 
 def test_too_deep_input_fails_before_planning(monkeypatch):
@@ -606,10 +617,13 @@ def _level_starts(free, p, q):
 
 
 def test_level_cuts_split_checks_and_forms_at_whole_lines():
-    # The memo key at a level cut is the residuals alone.  That is exact
-    # because, for every check or face form still open at the cut, each
-    # side's part assigned before the cut is empty or all the assigned free
-    # cells of one row or column, whose sum the residuals fix.
+    # For every check or face form still open at a level cut, each side's
+    # part assigned before the cut is empty or all the assigned free cells
+    # of one row or column, whose sum the residuals fix.  The memo does not
+    # rest on this: it looks up every position, which is exact because no
+    # bound reads a cell (see
+    # test_checks_and_forms_reduce_to_bounds_on_the_closing_cell).  This
+    # checks the whole-line split at level cuts as a property of the plan.
     for p in range(1, 6):
         for q in range(1, 7):
             for r in range(1, 5):
@@ -678,11 +692,12 @@ def test_checks_and_forms_reduce_to_bounds_on_the_closing_cell():
     # the cell where it closes, a bound on that cell's value v: each side's
     # sum is the assigned part of its line (a tensor column for the column
     # family, a tensor row for the row family), and the closing cell lies in
-    # exactly one side.  A compiled check's form is 0 where that bound is
-    # tight, a single cell's form where v = 0.  No bound reads a cell, so
-    # the position and the residuals fix the rest of the search, and the
-    # memo looks up every position.  Lines are units: row i, column p + j,
-    # level p + q + k.
+    # exactly one side.  Every face form is a bound, 0 where it is tight: a
+    # compiled check's form is that check's bound, and a single cell's form
+    # is v >= 0 with one unit on both sides, so d = 0.  No bound reads a
+    # cell, so the position and the residuals fix the rest of the search,
+    # and the memo looks up every position.  Lines are units: row i, column
+    # p + j, level p + q + k.
     for p in range(1, 6):
         for q in range(1, 7):
             for r in range(1, 5):
@@ -725,6 +740,7 @@ def test_checks_and_forms_reduce_to_bounds_on_the_closing_cell():
                     assert {t for t in close_side if t in pos_of} == line_cells(close, close_pos)
                     # every free cell of the other line met so far, so no cell is listed
                     assert {t for t in other_side if t in pos_of} == line_cells(other, close_pos), ((p, q, r), pair)
+                bound_of = dict(plan.reductions)  # (closing position, bound) of each check and cell form
                 for face in _named_faces(p, q, r):
                     for form in polytope._face_forms(face, p, q, r):
                         form_plan = polytope._form_plan((form,), p, q, r, False)
@@ -734,10 +750,12 @@ def test_checks_and_forms_reduce_to_bounds_on_the_closing_cell():
                         forms_at, last = form_plan
                         assert [entry for entry in forms_at if entry] == [forms_at[last]]
                         (entry,) = forms_at[last]
-                        if entry is None:
-                            assert form[1] == () and form[0] == (free[last],)
-                        else:
+                        if form[1]:
                             assert plan.reductions[form] == (last, entry)
+                        else:  # a single cell: the bound v >= 0, one unit on both sides
+                            close, other, lower = entry
+                            assert form[0] == (free[last],) and close == other and lower
+                            bound_of[form] = (last, entry)
 
                 points = _points_of_shape(p, q, r)
                 forms = {form for face in _named_faces(p, q, r) for form in polytope._face_forms(face, p, q, r)}
@@ -745,18 +763,12 @@ def test_checks_and_forms_reduce_to_bounds_on_the_closing_cell():
                     entries = [x for level in point.levels for row in level for x in row]
                     for pair in checks + sorted(forms):
                         lhs, rhs = pair
-                        if pair in plan.reductions:
-                            close_pos, bound = plan.reductions[pair]
-                        else:  # a single cell
-                            close_pos, bound = pos_of.get(lhs[0], -1), None
+                        close_pos, bound = bound_of.get(pair, (-1, None))
                         if close_pos < 0:
                             continue
                         v = entries[free[close_pos]]
                         lhs_sum = sum(entries[t] for t in lhs)
                         rhs_sum = sum(entries[t] for t in rhs)
-                        if bound is None:
-                            assert lhs_sum - rhs_sum == v
-                            continue
                         close, other, lower = bound
 
                         def assigned(unit):
