@@ -230,76 +230,68 @@ def phi_ell(tensor: Tensor3, ell: int) -> Tensor3:
     return shifted
 
 
-def face_F_plus(lam: Partition, mu: Partition, tau: Composition, ell: int) -> FaceUnion:
-    """Faces of CR(lam, mu; tau) covering the points outside the shift's image."""
-    p, q = len(lam), len(mu)
+@lru_cache(maxsize=None)
+def _face_unions(p: int, q: int, ell: int) -> tuple[FaceUnion, FaceUnion]:
+    """F+ and F- of every pair term with len(lam) = p and len(mu) = q: the
+    faces depend on the shape and ell alone, so each union is built once.
+    Checks 1 <= ell <= p; the face routes pass p = max(len(lam), 1), so the
+    empty triple takes ell = 1."""
     if not 1 <= ell <= p:
         raise ValueError(f"ell = {ell} out of range [1, {p}]")
-    faces: list = []
+    plus: list = [DiagZero(ell - 1)] if ell >= 2 else []
+    plus.append(EntryZero(ell))
     if ell >= 2:
-        faces.append(DiagZero(ell - 1))
-    faces.append(EntryZero(ell))
-    if ell >= 2:
-        faces.extend(ColTight(ell - 1, t) for t in range(1, p - ell + 1))
-        faces.extend(RowTight(ell - 1, s) for s in range(1, q - ell + 1))
-    return FaceUnion(tuple(faces))
+        plus.extend(ColTight(ell - 1, t) for t in range(1, p - ell + 1))
+        plus.extend(RowTight(ell - 1, s) for s in range(1, q - ell + 1))
+    minus: list = [DiagZero(p)] if ell == p == q else []
+    if ell < p or p < q:
+        minus.extend(ColTight(ell, t) for t in range(1, p - ell + 2))
+    if ell <= p - 1:
+        minus.extend(RowTight(ell, s) for s in range(1, q - ell + 2))
+    return FaceUnion(tuple(plus)), FaceUnion(tuple(minus))
+
+
+def face_F_plus(lam: Partition, mu: Partition, tau: Composition, ell: int) -> FaceUnion:
+    """Faces of CR(lam, mu; tau) covering the points outside the shift's image.
+    ``tau`` is not read: the union depends on len(lam), len(mu) and ell, and
+    every call with those returns one shared object."""
+    return _face_unions(len(lam), len(mu), ell)[0]
 
 
 def face_F_minus(lam: Partition, mu: Partition, tau_bar: Composition, ell: int) -> FaceUnion:
-    """Faces of CR(lam, mu; tau_bar) covering the points whose shift leaves CR(tau)."""
-    p, q = len(lam), len(mu)
-    if not 1 <= ell <= p:
-        raise ValueError(f"ell = {ell} out of range [1, {p}]")
-    if ell == p and p == q:
-        return FaceUnion((DiagZero(p),))
-    faces: list = []
-    if ell < p or p < q:
-        faces.extend(ColTight(ell, t) for t in range(1, p - ell + 2))
-    if ell <= p - 1:
-        faces.extend(RowTight(ell, s) for s in range(1, q - ell + 2))
-    return FaceUnion(tuple(faces))
+    """Faces of CR(lam, mu; tau_bar) covering the points whose shift leaves
+    CR(tau).  ``tau_bar`` is not read, as in ``face_F_plus``."""
+    return _face_unions(len(lam), len(mu), ell)[1]
 
 
-def _check_face_ell(lam: Partition, ell: int) -> None:
-    """The face routes take 1 <= ell <= len(lam) of the normalized triple, and
-    ell = 1 when the triple is empty."""
-    top = max(len(lam), 1)
-    if not 1 <= ell <= top:
-        raise ValueError(f"ell = {ell} out of range [1, {top}]")
+def _face_terms(lam: Partition, mu: Partition, nu: Partition, unions: tuple[FaceUnion, FaceUnion]):
+    """``(term, countPlus, countMinus)`` for each pair term of a normalized,
+    non-shortcut triple, in expansion order."""
+    plus, minus = unions
+    for term in jt_pair_expansion(nu):
+        if term.b < 1:
+            raise InvariantViolation(f"pair term {term} has b < 1; a partition never gives one")
+        count_plus = count_points(CRSystem(lam, mu, term.tau), plus)
+        yield term, count_plus, count_points(CRSystem(lam, mu, term.tau_bar), minus)
 
 
 def face_term_breakdown(lam: Partition, mu: Partition, nu: Partition, ell: int = 1) -> list[dict]:
     """Per-term audit of the face formula after normalizing the triple."""
     lam2, mu2, nu2, shortcut = normalize_triple(lam, mu, nu)
-    _check_face_ell(lam2, ell)
+    unions = _face_unions(max(len(lam2), 1), len(mu2), ell)
     if shortcut:
         return []
-    # Both unions depend only on len(lam2), len(mu2) and ell, so every term shares them.
-    plus, minus = face_F_plus(lam2, mu2, nu2, ell), face_F_minus(lam2, mu2, nu2, ell)
-    breakdown = []
-    for term in jt_pair_expansion(nu2):
-        if term.b < 1:
-            raise InvariantViolation(f"pair term {term} has b < 1; a partition never gives one")
-        tau, tau_bar = term.tau, term.tau_bar
-        breakdown.append(
-            {
-                "sign": term.sign,
-                "tau": list(tau),
-                "tauBar": list(tau_bar),
-                "countPlus": count_points(CRSystem(lam2, mu2, tau), plus),
-                "countMinus": count_points(CRSystem(lam2, mu2, tau_bar), minus),
-            }
-        )
-    return breakdown
+    return [
+        dict(sign=term.sign, tau=list(term.tau), tauBar=list(term.tau_bar), countPlus=plus, countMinus=minus)
+        for term, plus, minus in _face_terms(lam2, mu2, nu2, unions)
+    ]
 
 
 def kron_via_faces(lam: Partition, mu: Partition, nu: Partition, ell: int = 1) -> int:
     """Kronecker coefficient from face counts alone (must match kron_via_cr)."""
-    breakdown = face_term_breakdown(lam, mu, nu, ell)
-    if not breakdown:
-        # Only a shortcut triple has no pair term: the branch where column s
-        # picks row s, for s <= r - 2, always survives, as both subscripts
-        # of its 2x2 minor are positive parts of nu.
-        return _shortcut_value(*normalize_triple(lam, mu, nu)[:3])
-    total = sum(item["sign"] * (item["countPlus"] - item["countMinus"]) for item in breakdown)
+    lam2, mu2, nu2, shortcut = normalize_triple(lam, mu, nu)
+    unions = _face_unions(max(len(lam2), 1), len(mu2), ell)
+    if shortcut:
+        return _shortcut_value(lam2, mu2, nu2)
+    total = sum(term.sign * (plus - minus) for term, plus, minus in _face_terms(lam2, mu2, nu2, unions))
     return _nonnegative(total, lam, mu, nu)

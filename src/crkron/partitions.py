@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import islice
-from operator import index
+from operator import index, lt
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -33,14 +33,12 @@ class InvariantViolation(RuntimeError):
 
 
 def partition(parts: Iterable[int]) -> Partition:
-    """Validate ``parts`` as a partition; trailing zeros are stripped."""
+    """Validate ``parts`` as a partition; trailing zeros are stripped.  A weakly
+    decreasing sequence is nonnegative iff its last part is."""
     seq = tuple(map(index, parts))
-    for x in seq:
-        if x < 0:
-            raise ValueError(f"negative part {x} in {seq}")
-    for a, b in zip(seq, seq[1:]):
-        if a < b:
-            raise NotWeaklyDecreasing(f"{seq} is not weakly decreasing")
+    if any(map(lt, seq, seq[1:])) or seq and seq[-1] < 0:
+        composition(seq)  # a negative part is reported first
+        raise NotWeaklyDecreasing(f"{seq} is not weakly decreasing")
     while seq and seq[-1] == 0:
         seq = seq[:-1]
     return seq
@@ -49,9 +47,10 @@ def partition(parts: Iterable[int]) -> Partition:
 def composition(parts: Iterable[int]) -> Composition:
     """Validate ``parts`` as a composition (nonnegative parts, kept verbatim)."""
     seq = tuple(map(index, parts))
-    for x in seq:
-        if x < 0:
-            raise ValueError(f"negative part {x} in {seq}")
+    if seq and min(seq) < 0:
+        for x in seq:
+            if x < 0:
+                raise ValueError(f"negative part {x} in {seq}")
     return seq
 
 

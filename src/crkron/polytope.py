@@ -187,9 +187,16 @@ class RowTight:
 
 @dataclass(frozen=True)
 class FaceUnion:
-    """Union of faces; a point belongs if it lies in any member."""
+    """Union of faces; a point belongs if it lies in any member.  The hash
+    is taken once, as ``count_points`` keys its memo on the union."""
 
     faces: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.faces))
+
+    def __hash__(self):
+        return self._hash
 
 
 FacePredicate = Union[DiagZero, EntryZero, ColTight, RowTight, FaceUnion]

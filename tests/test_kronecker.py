@@ -258,6 +258,40 @@ def test_face_unions():
         face_F_plus(lam, mu, (3, 3), 4)
 
 
+def _reference_unions(p, q, ell):
+    """F+ and F- built term by term, as the face route first wrote them."""
+    plus = ([DiagZero(ell - 1)] if ell >= 2 else []) + [EntryZero(ell)]
+    if ell >= 2:
+        plus += [ColTight(ell - 1, t) for t in range(1, p - ell + 1)]
+        plus += [RowTight(ell - 1, s) for s in range(1, q - ell + 1)]
+    if ell == p and p == q:
+        return FaceUnion(tuple(plus)), FaceUnion((DiagZero(p),))
+    minus = []
+    if ell < p or p < q:
+        minus += [ColTight(ell, t) for t in range(1, p - ell + 2)]
+    if ell <= p - 1:
+        minus += [RowTight(ell, s) for s in range(1, q - ell + 2)]
+    return FaceUnion(tuple(plus)), FaceUnion(tuple(minus))
+
+
+def test_face_unions_ignore_tau_and_are_shared():
+    # the unions depend on len(lam), len(mu) and ell only, so one object serves every tau
+    for p in range(1, 7):
+        for q in range(1, 7):
+            lam, mu = (1,) * p, (1,) * q
+            for ell in range(1, p + 1):
+                plus, minus = _reference_unions(p, q, ell)
+                assert face_F_plus(lam, mu, (2, 1), ell) == plus, (p, q, ell)
+                assert face_F_minus(lam, mu, (3, 0), ell) == minus, (p, q, ell)
+                assert face_F_plus(lam, mu, (2, 1), ell) is face_F_plus(lam, mu, (7,), ell)
+                assert face_F_minus(lam, mu, (3, 0), ell) is face_F_minus(lam, mu, (1, 1, 1), ell)
+                assert hash(face_F_plus(lam, mu, (), ell)) == hash(FaceUnion(plus.faces))
+            for bad in (0, p + 1):
+                for build in (face_F_plus, face_F_minus):
+                    with pytest.raises(ValueError, match=f"ell = {bad} out of range"):
+                        build(lam, mu, (1,), bad)
+
+
 def test_face_counts_match_shift_brute_force():
     for n in range(2, 5):
         for lam in partitions_of(n):
@@ -488,6 +522,25 @@ def test_jt_term_breakdown_sums_to_kron_via_cr():
                     assert value == kron_via_cr(lam, mu, nu), (lam, mu, nu)
 
 
+def test_face_term_breakdown_sums_to_kron_via_faces():
+    # kron_via_faces sums the pair terms itself, so its value and the audit must agree
+    for n in range(2, 7):
+        parts = partitions_of(n)
+        for lam in parts:
+            for mu in parts:
+                for nu in parts:
+                    lam2, _, _, shortcut = normalize_triple(lam, mu, nu)
+                    if shortcut:
+                        continue
+                    for ell in range(1, len(lam2) + 1):
+                        breakdown = face_term_breakdown(lam, mu, nu, ell)
+                        assert all(
+                            set(item) == {"sign", "tau", "tauBar", "countPlus", "countMinus"} for item in breakdown
+                        )
+                        value = sum(item["sign"] * (item["countPlus"] - item["countMinus"]) for item in breakdown)
+                        assert value == kron_via_faces(lam, mu, nu, ell), (lam, mu, nu, ell)
+
+
 def test_face_terms_n18_pinned():
     # three levels with deep cuts: (countPlus, countMinus) per pair term; each ell sums to g = 35
     lam, mu, nu = (8, 6, 4), (6, 6, 6), (9, 6, 3)
@@ -558,13 +611,15 @@ def test_invariant_violations_raise_under_optimize():
         kronecker.cr_count = lambda lam, mu, tau: 0 if len(tau) > 1 else 1
         print(raises(lambda: kronecker.kron_via_cr((2, 1), (2, 1), (2, 1))))
         print(cli.main(["g", "--lambda", "2,1", "--mu", "2,1", "--nu", "2,1"]))
-        fake = [{"sign": 1, "countPlus": 0, "countMinus": 1}]
-        breakdown = kronecker.face_term_breakdown
-        kronecker.face_term_breakdown = lambda *args: fake
+        # (2,1)^3 has one pair term, +1; each term counts F+ and then F-
+        counts = iter((0, 1))
+        count_points = kronecker.count_points
+        kronecker.count_points = lambda system, face: next(counts)
         print(raises(lambda: kronecker.kron_via_faces((2, 1), (2, 1), (2, 1))))
-        kronecker.face_term_breakdown = breakdown
+        kronecker.count_points = count_points
         kronecker.jt_pair_expansion = lambda nu: (kronecker.JTPairTerm(1, 3, 0, ()),)
         print(raises(lambda: kronecker.face_term_breakdown((2, 1), (2, 1), (2, 1))))
+        print(raises(lambda: kronecker.kron_via_faces((2, 1), (2, 1), (2, 1))))
         from crkron import characters, tableaux
         print(raises(lambda: tableaux._column_insert([[2, 0]], 1)))
         characters._class_sizes = lambda n: (1,) * len(characters.partitions_of(n))
@@ -578,7 +633,7 @@ def test_invariant_violations_raise_under_optimize():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "True", "1", "True", "True", "True", "True", "True"]
+    assert proc.stdout.split() == ["1", "True", "1", "True", "True", "True", "True", "True", "True"]
     assert proc.stderr.strip().startswith("internal error: negative coefficient -1")
 
 

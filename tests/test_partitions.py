@@ -136,3 +136,25 @@ def test_partition_validates():
     assert partition([2, 1, 0]) == (2, 1)
     with pytest.raises(NotWeaklyDecreasing):
         partition([1, 2])
+
+
+def test_validation_messages_are_pinned():
+    # valid input takes a fast path; invalid input raises exactly as the loops did
+    cases = [
+        (partition, (3, -1), ValueError, "negative part -1 in (3, -1)"),
+        (partition, (1, -2, 3), ValueError, "negative part -2 in (1, -2, 3)"),
+        (partition, (-1, -1), ValueError, "negative part -1 in (-1, -1)"),
+        (partition, (2, 1, 3), NotWeaklyDecreasing, "(2, 1, 3) is not weakly decreasing"),
+        (partition, (0, 1), NotWeaklyDecreasing, "(0, 1) is not weakly decreasing"),
+        (partition, (2, 1.5), TypeError, "'float' object cannot be interpreted as an integer"),
+        (composition, (2, -1, 3), ValueError, "negative part -1 in (2, -1, 3)"),
+        (composition, (1, 2.0), TypeError, "'float' object cannot be interpreted as an integer"),
+    ]
+    for fn, parts, kind, message in cases:
+        with pytest.raises(kind) as info:
+            fn(parts)
+        assert type(info.value) is kind and str(info.value) == message, parts
+    assert partition((3, 1, 0, 0)) == (3, 1)
+    assert partition((0, 0)) == partition(()) == ()
+    assert partition(iter([2, 2, 0])) == (2, 2)
+    assert composition((0, 2, 0)) == (0, 2, 0)
