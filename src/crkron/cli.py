@@ -6,15 +6,18 @@ invariant or any other fault of the program), 2 invalid input
 (``ValueError`` or a usage error), an input too deep for the recursive
 search (one frame per free cell; refused before the search is planned) or
 a character route over the class budget ``characters.MAX_CLASSES``;
-failures print a one-line diagnostic on stderr and never a traceback.  The
-global ``--threads`` option is accepted for compatibility and has no effect:
-every command runs serially.
+failures print a one-line diagnostic on stderr and never a traceback.  A
+reader that closes stdout early (``crkron points ... | head -1``) ends the
+command quietly: exit code 0 and nothing on stderr.  The global
+``--threads`` option is accepted for compatibility and has no effect: every
+command runs serially.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .characters import g_oracle, lr_oracle
@@ -222,7 +225,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe then fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone: send what is still buffered to devnull, so the
+        # interpreter's last flush has nothing to report.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

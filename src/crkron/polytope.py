@@ -11,12 +11,14 @@ a check a slice of one column (``_family``).
 
 Counting is exhaustive: a depth-first assignment of entries, level by
 level from level 1 up, and within each level by antidiagonals, from the
-last (row p, column q) back to the first, rows ascending within one,
-pruned by marginal residuals and by each inequality as soon as its last
-referenced entry has been assigned.  Every canonicity check reads a lower
-run of a column (or a right run of a row) of its highest level plus cells
-of the levels below, and every row and column meets each antidiagonal in
-one cell.  So where a check closes, each side is the assigned part of one
+last (row p, column q) back to the first, rows ascending within one.
+Every constraint at a position is a bound on its cell's value v: the
+residuals of its row, column and level cap v, each check that closes there
+bounds it from one side, and a unit whose last free cell it is bounds it
+below by that unit's residual.  Every canonicity check reads a lower run
+of a column (or a right run of a row) of its highest level plus cells of
+the levels below, and every row and column meets each antidiagonal in one
+cell.  So where a check closes, each side is the assigned part of one
 tensor column (or row), known from the residuals, and the closing cell
 lies in one side only: the check is a bound v >= d or v <= d on the
 closing cell's value.  A node works out its bounds once and tries only the
@@ -40,8 +42,8 @@ i, p + j and p + q + k (0-based) of one residual vector, which starts at
 the concatenated targets lam + mu + tau.  Equal states have equal
 subtrees, so each is counted once: the transfer-matrix method (Stanley,
 Enumerative Combinatorics I, 4.7) run depth first.  The set-up that
-depends on the shape only (free cells, unit completions, the checks'
-bounds by closing position) is built once per (p, q, r) and kept
+depends on the shape only (free cells, the unit each position completes,
+the checks' bounds by closing position) is built once per (p, q, r) and kept
 (``_plan``).  The search takes one frame per free cell, so ``_plan``
 counts the free cells from the two staircases and refuses a shape whose
 free cells reach the recursion limit with ``RecursionError`` before it
@@ -424,7 +426,15 @@ class _Plan(NamedTuple):
     ``units`` holds the three unit ids (row i, column p + j, level
     p + q + k, 0-based) of each free position, ``pos_of`` the position of
     each free flat index, ``idle`` the units with no free cell and
-    ``finals`` the units whose last free cell each position is.
+    ``completes`` the unit whose last free cell each position is (-1 for
+    none).  A unit's last cell takes its whole residual, so completion is
+    the lower bound v >= residual; the residual cap is the upper one.  Only
+    the last free position completes more than one unit: level k ends at
+    (1, 1, k), row i >= 2 at (i, 1, r), column j >= 2 at (1, j, r), and
+    (1, 1, r) ends row 1, column 1 and level r.  There rows, columns and
+    levels each sum to n less the assigned total, and every other unit is
+    already 0, so its three residuals are equal and one of them stands for
+    all.
 
     Each check is reduced once, at the position where it closes, to a bound
     on that cell's value v.  Its two sides lie in two adjacent units of one
@@ -455,7 +465,7 @@ class _Plan(NamedTuple):
     units: tuple[tuple[int, int, int], ...]
     pos_of: dict[int, int]
     idle: tuple[int, ...]
-    finals: tuple[tuple[int, ...], ...]
+    completes: tuple[int, ...]
     bounds_at: tuple[tuple[tuple, ...], ...]
     reductions: dict[tuple, tuple[int, tuple | None]]
 
@@ -493,13 +503,9 @@ def _plan(p: int, q: int, r: int, transport_only: bool) -> _Plan:
     units = tuple((idx // q % p, p + idx % q, p + q + idx // (p * q)) for idx in free)
 
     last_of = {unit: pos for pos, cell in enumerate(units) for unit in cell}
-    finals: list[list[int]] = [[] for _ in free]
-    idle = []
-    for unit in range(p + q + r):
-        if unit in last_of:
-            finals[last_of[unit]].append(unit)
-        else:
-            idle.append(unit)
+    completes = [-1] * len(free)
+    for unit, pos in last_of.items():
+        completes[pos] = unit
 
     bounds_at: list[list] = [[] for _ in free]
     reductions: dict[tuple, tuple[int, tuple | None]] = {}
@@ -521,8 +527,8 @@ def _plan(p: int, q: int, r: int, transport_only: bool) -> _Plan:
         free,
         units,
         pos_of,
-        tuple(idle),
-        tuple(map(tuple, finals)),
+        tuple(unit for unit in range(p + q + r) if unit not in last_of),
+        tuple(completes),
         tuple(map(tuple, bounds_at)),
         reductions,
     )
@@ -590,12 +596,14 @@ def _search(
     Cells are visited in the plan's order (see ``_Plan``): levels in turn,
     each by antidiagonals from its last cell back.  ``rem`` is one residual
     vector over the plan's units, rows then columns then levels, starting
-    at ``target`` = lam + mu + tau.  Each node works out once the bounds
-    ``lb`` and ``ub`` on its cell's value that its three units' residuals
-    and the checks closing there allow (see ``_Plan``), and tries
-    ``lb .. ub`` in ascending order, so no value a check rejects is tried.
-    A unit's last free cell takes its forced value, if that lies in
-    ``[lb, ub]``.
+    at ``target`` = lam + mu + tau.  Every constraint at a position is a
+    bound on its cell's value (see ``_Plan``): its three units' residuals
+    cap it, each check closing there bounds it from one side, and the unit
+    it completes, if any, bounds it below by that unit's residual.  Each
+    node works out ``lb`` and ``ub`` once, returns 0 if they cross, and
+    tries ``lb .. ub`` in ascending order, so no value a constraint rejects
+    is tried; off the face union the tight values of the form bounds narrow
+    them further (below).
 
     With ``forms`` (see ``_face_forms``) only the points on the union of
     their faces count.  Every form is a bound at its last free cell (see
@@ -630,7 +638,7 @@ def _search(
     forms_at, last = form_plan or ((), 0)
     if last < 0:
         return 0
-    free_cells, units, unit_last, bounds_at = plan.free, plan.units, plan.finals, plan.bounds_at
+    free_cells, units, completes, bounds_at = plan.free, plan.units, plan.completes, plan.bounds_at
     n_free = len(free_cells)
     weights, digits = _radix(p, q, r, system.transport_only, sum(system.lam))
     global _memo_slot
@@ -666,17 +674,12 @@ def _search(
                     lb = d
             elif d < ub:
                 ub = d
-        finals = unit_last[pos]
-        if finals:
-            need = rem[finals[0]]
-            for unit in finals[1:]:
-                if rem[unit] != need:
-                    return 0
-            if not lb <= need <= ub:
-                return 0
-            values = (need,)
-        else:
-            values = range(lb, ub + 1)
+        unit = completes[pos]
+        if unit >= 0 and rem[unit] > lb:
+            lb = rem[unit]  # the unit's last cell takes its whole residual
+        if lb > ub:
+            return 0
+        values = range(lb, ub + 1)
         hits = ()
         if not hit and forms_at[pos]:
             # Each form is 0 where its bound is tight: v = d.
@@ -696,7 +699,6 @@ def _search(
             rem[a] += v
             rem[b] += v
             rem[c] += v
-        entries[idx] = 0
         if on_solution is None:
             memo[key] = total
         return total

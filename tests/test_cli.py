@@ -273,6 +273,43 @@ def test_selfcheck_deterministic_across_threads(capsys):
     assert "selfcheck OK" in outputs[0]
 
 
+def test_selfcheck_reports_a_mismatch(capsys, monkeypatch):
+    faces = cli.kron_via_faces
+
+    def off_by_one(lam, mu, nu, ell):
+        return faces(lam, mu, nu, ell) + ((lam, mu, nu) == ((2, 1), (2, 1), (2, 1)))
+
+    monkeypatch.setattr(cli, "kron_via_faces", off_by_one)
+    code, out, err = run_cli(capsys, "selfcheck", "--n", "3")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0] == "n=2: 8 triples checked, 0 mismatches"
+    assert lines[1] == "MISMATCH g((2, 1), (2, 1), (2, 1)): polytopes=1 faces=2 oracle=1"
+    assert lines[2:] == ["n=3: 27 triples checked, 1 mismatches", "selfcheck FAILED: 35 triples"]
+
+
+def test_selfcheck_needs_n_at_least_2(capsys):
+    assert run_cli(capsys, "selfcheck", "--n", "1") == (2, "", "error: selfcheck needs --n >= 2\n")
+
+
+def test_closed_stdout_exits_0_quietly():
+    # About 560 KB of points, read through a pipe that is closed after one line.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    shape = "4,3,2,1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "crkron.cli", "points", "--lambda", shape, "--mu", shape, "--tau", shape],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 0 and err == b""
+    assert json.loads(first)["dims"] == [4, 4, 4]
+
+
 def test_byte_identical_reruns(capsys):
     first = run_cli(capsys, "g", "--lambda", "3,2,1", "--mu", "3,2,1", "--nu", "3,2,1", "--json")
     second = run_cli(capsys, "g", "--lambda", "3,2,1", "--mu", "3,2,1", "--nu", "3,2,1", "--json")

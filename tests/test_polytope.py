@@ -112,6 +112,10 @@ def test_is_member_examples():
     assert is_member(point, system)
     bad = Tensor3.from_levels([[[0, 2], [2, 1]]])
     assert not is_member(bad, system)  # first level not diagonal-constant
+    assert not is_member(Tensor3.from_levels([[[4, 0], [0, 1]]]), system)  # marginals (4, 1)
+    diagonal = Tensor3.from_levels([[[3, 0], [0, 2]]])
+    assert is_member(diagonal, CRSystem(lam, lam, (5,), transport_only=True))
+    assert not is_member(diagonal, system)  # a cone condition fails
     with pytest.raises(SizeMismatch):
         is_member(Tensor3.zeros(2, 2, 2), system)
 
@@ -708,6 +712,22 @@ def test_checks_and_forms_reduce_to_bounds_on_the_closing_cell():
                     # units are (i, p + j, p + q + k): levels in turn, i + j non-increasing
                     keys = [(k, -i - j) for i, j, k in each.units]
                     assert keys == sorted(keys), (p, q, r)
+                    # Completion is a lower bound on one unit: level k ends at
+                    # (1, 1, k), row i >= 2 at (i, 1, r), column j >= 2 at
+                    # (1, j, r), and (1, 1, r) ends row 1, column 1 and level r,
+                    # at the last free position, where their residuals are equal.
+                    end_cell = {p + q + k - 1: (1, 1, k) for k in range(1, r + 1)}
+                    end_cell.update({i - 1: (i, 1, r) for i in range(1, p + 1)})
+                    end_cell.update({p + j - 1: (1, j, r) for j in range(1, q + 1)})
+                    ends = {unit: pos for pos, cell in enumerate(each.units) for unit in cell}
+                    for unit, pos in ends.items():
+                        idx = each.free[pos]
+                        assert (idx // q % p + 1, idx % q + 1, idx // (p * q) + 1) == end_cell[unit], (p, q, r, unit)
+                    ending = [[unit for unit, pos in ends.items() if pos == at] for at in range(len(each.free))]
+                    assert all(len(done) <= 1 for done in ending[:-1]), (p, q, r)
+                    assert [done[0] if done else -1 for done in ending[:-1]] == list(each.completes[:-1]), (p, q, r)
+                    assert each.completes[-1] in ending[-1], (p, q, r)
+                    assert set(each.idle) == set(range(p + q + r)) - set(ends)
                 free, units, pos_of = plan.free, plan.units, plan.pos_of
 
                 def line_cells(unit, upto):
