@@ -11,6 +11,11 @@ reader that closes stdout early (``crkron points ... | head -1``) ends the
 command quietly: exit code 0 and nothing on stderr.  The global
 ``--threads`` option is accepted for compatibility and has no effect: every
 command runs serially.
+
+``g``, ``lr``, ``count`` and ``points`` read their triple the same way:
+``--lambda`` and ``--mu`` as partitions, then ``--nu`` as a partition
+(``g``) or ``--tau`` as a composition of positive parts.  They are parsed
+in that order, so the first bad input in that order is the one reported.
 """
 
 from __future__ import annotations
@@ -41,36 +46,40 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+def _add_triple(sub, name: str, third: str, summary: str) -> argparse.ArgumentParser:
+    """Declare a subcommand that reads ``--lambda``, ``--mu`` and ``--<third>``, in that order."""
+    cmd = sub.add_parser(name, help=summary)
+    cmd.add_argument("--lambda", dest="lam", required=True)
+    cmd.add_argument("--mu", required=True)
+    cmd.add_argument(f"--{third}", required=True)
+    return cmd
+
+
+def _read_triple(args) -> tuple:
+    """Parse lambda, then mu, then nu as a partition (``g``) or tau as a
+    composition, so the first bad input in that order is the one reported."""
+    lam, mu = parse_partition(args.lam), parse_partition(args.mu)
+    return lam, mu, parse_partition(args.nu) if args.command == "g" else parse_composition(args.tau)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="crkron")
     parser.add_argument("--threads", type=int, default=1, help="has no effect")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("g", help="Kronecker coefficient g(lambda, mu, nu)")
-    g.add_argument("--lambda", dest="lam", required=True)
-    g.add_argument("--mu", required=True)
-    g.add_argument("--nu", required=True)
+    g = _add_triple(sub, "g", "nu", "Kronecker coefficient g(lambda, mu, nu)")
     g.add_argument("--method", choices=("jt", "faces", "oracle"), default="jt")
     g.add_argument("--ell", type=int, default=1, help="shift diagonal, read by --method faces only")
     g.add_argument("--json", action="store_true")
 
-    lr = sub.add_parser("lr", help="Littlewood-Richardson pair count lr(lambda, mu; tau)")
-    lr.add_argument("--lambda", dest="lam", required=True)
-    lr.add_argument("--mu", required=True)
-    lr.add_argument("--tau", required=True)
+    lr = _add_triple(sub, "lr", "tau", "Littlewood-Richardson pair count lr(lambda, mu; tau)")
     lr.add_argument("--method", choices=("polytope", "tableaux", "characters"), default="polytope")
 
-    count = sub.add_parser("count", help="integer points of CR(lambda, mu; tau)")
-    count.add_argument("--lambda", dest="lam", required=True)
-    count.add_argument("--mu", required=True)
-    count.add_argument("--tau", required=True)
+    count = _add_triple(sub, "count", "tau", "integer points of CR(lambda, mu; tau)")
     count.add_argument("--transport", action="store_true", help="drop the column-row constraints")
     count.add_argument("--json", action="store_true")
 
-    points = sub.add_parser("points", help="enumerate integer points as JSON lines")
-    points.add_argument("--lambda", dest="lam", required=True)
-    points.add_argument("--mu", required=True)
-    points.add_argument("--tau", required=True)
+    points = _add_triple(sub, "points", "tau", "enumerate integer points as JSON lines")
     points.add_argument("--decorate", action="store_true", help="append the tableau image")
 
     expand = sub.add_parser("expand", help="determinant expansion of nu")
@@ -90,9 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_g(args) -> int:
-    lam = parse_partition(args.lam)
-    mu = parse_partition(args.mu)
-    nu = parse_partition(args.nu)
+    lam, mu, nu = _read_triple(args)
     if args.method == "oracle":
         value = g_oracle(lam, mu, nu)
         terms = None
@@ -113,9 +120,7 @@ def _cmd_g(args) -> int:
 
 
 def _cmd_lr(args) -> int:
-    lam = parse_partition(args.lam)
-    mu = parse_partition(args.mu)
-    tau = parse_composition(args.tau)
+    lam, mu, tau = _read_triple(args)
     if args.method == "tableaux":
         value = count_lr_pairs(lam, mu, tau)
     elif args.method == "characters":
@@ -127,9 +132,7 @@ def _cmd_lr(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    lam = parse_partition(args.lam)
-    mu = parse_partition(args.mu)
-    tau = parse_composition(args.tau)
+    lam, mu, tau = _read_triple(args)
     system = CRSystem(lam, mu, tau, transport_only=args.transport)
     value = count_points(system)
     if args.json:
@@ -140,9 +143,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_points(args) -> int:
-    lam = parse_partition(args.lam)
-    mu = parse_partition(args.mu)
-    tau = parse_composition(args.tau)
+    lam, mu, tau = _read_triple(args)
     system = CRSystem(lam, mu, tau)
     for tensor in enumerate_points(system):
         payload = tensor.to_json_dict()

@@ -54,21 +54,22 @@ def composition(parts: Iterable[int]) -> Composition:
     return seq
 
 
+def _parse_ints(text: str, kind: str) -> list[int]:
+    """The comma-separated integers of ``text``, read as a ``kind``."""
+    try:
+        return [int(token) for token in text.split(",")]
+    except ValueError:
+        raise ValueError(f"bad {kind} {text!r}: expected comma-separated integers") from None
+
+
 def parse_partition(text: str) -> Partition:
     """Parse a comma-separated partition such as ``"3,2,1"``."""
-    try:
-        parts = [int(token) for token in text.split(",")]
-    except ValueError:
-        raise ValueError(f"bad partition {text!r}: expected comma-separated integers") from None
-    return partition(parts)
+    return partition(_parse_ints(text, "partition"))
 
 
 def parse_composition(text: str) -> Composition:
     """Parse a comma-separated composition of positive integers."""
-    try:
-        parts = [int(token) for token in text.split(",")]
-    except ValueError:
-        raise ValueError(f"bad composition {text!r}: expected comma-separated integers") from None
+    parts = _parse_ints(text, "composition")
     if any(x <= 0 for x in parts):
         raise ValueError(f"bad composition {text!r}: parts must be positive")
     return tuple(parts)

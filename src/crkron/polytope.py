@@ -685,7 +685,7 @@ def _search(
             # Each form is 0 where its bound is tight: v = d.
             hits = {target[other] - rem[other] - target[close] + rem[close] for close, other, _ in forms_at[pos]}
             if pos == last:
-                values = [v for v in sorted(hits) if v in values]
+                values = [v for v in hits if v in values]
         idx = free_cells[pos]
         weight = weights[pos]
         total = 0

@@ -186,17 +186,31 @@ def test_dim(capsys):
     assert code == 0 and out == "26\n"
     code, out, _ = run_cli(capsys, "dim", "--p", "3", "--q", "6", "--r", "2")
     assert code == 0 and out == "18\n"
+    code, _, _ = run_cli(capsys, "dim", "--p", "3", "--q", "7", "--r", "2")
+    assert code == 2
 
 
-def test_invalid_input_exits_2(capsys):
-    code, _, err = run_cli(capsys, "g", "--lambda", "2,x", "--mu", "2,1", "--nu", "2,1")
-    assert code == 2 and err.strip()
-    code, _, err = run_cli(capsys, "g", "--lambda", "1,2", "--mu", "2,1", "--nu", "2,1")
+@pytest.mark.parametrize(
+    "command, third, bad_third",
+    [
+        ("g", "--nu", "1,2"),
+        ("lr", "--tau", "2,0,1"),
+        ("count", "--tau", "2,0,1"),
+        ("points", "--tau", "2,0,1"),
+    ],
+    ids=["g", "lr", "count", "points"],
+)
+def test_invalid_input_exits_2(capsys, command, third, bad_third):
+    code, out, err = run_cli(capsys, command, "--lambda", "2,x", "--mu", "2,1", third, "2,1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code, _, err = run_cli(capsys, command, "--lambda", "1,2", "--mu", "2,1", third, "2,1")
     assert code == 2 and "decreasing" in err
-    code, _, err = run_cli(capsys, "count", "--lambda", "2,1", "--mu", "2,1", "--tau", "2,0,1")
-    assert code == 2
-    code, _, err = run_cli(capsys, "dim", "--p", "3", "--q", "7", "--r", "2")
-    assert code == 2
+    # lambda, mu, then the third input: the first bad one in that order is reported
+    code, _, err = run_cli(capsys, command, "--lambda", "2,1", "--mu", "2,y", third, "x")
+    assert code == 2 and "'2,y'" in err and "'x'" not in err
+    code, _, err = run_cli(capsys, command, "--lambda", "2,1", "--mu", "2,1", third, bad_third)
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
