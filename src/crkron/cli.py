@@ -4,8 +4,10 @@ Plain decimal output on a single line by default; ``--json`` switches to
 structured output.  Exit codes: 0 success, 1 internal failure (a broken
 invariant or any other fault of the program), 2 invalid input
 (``ValueError`` or a usage error), an input too deep for the recursive
-search (one frame per free cell; refused before the search is planned) or
-a character route over the class budget ``characters.MAX_CLASSES``;
+search (one frame per free cell and the leaf's above the frames already in
+use; refused before the search starts) or a character route over the
+class budget ``characters.MAX_CLASSES`` (``selfcheck`` refuses such an
+``--n`` before it checks anything);
 failures print a one-line diagnostic on stderr and never a traceback.  A
 reader that closes stdout early (``crkron points ... | head -1``) ends the
 command quietly: exit code 0 and nothing on stderr.  The global
@@ -24,8 +26,9 @@ import argparse
 import json
 import os
 import sys
+from itertools import product
 
-from .characters import g_oracle, lr_oracle
+from .characters import _MAX_CLASS_N, TooManyClasses, g_oracle, lr_oracle
 from .kronecker import (
     face_term_breakdown,
     jt_expansion,
@@ -190,13 +193,14 @@ def _cmd_dim(args) -> int:
 def _cmd_selfcheck(args) -> int:
     if args.n < 2:
         raise ValueError("selfcheck needs --n >= 2")
+    if args.n > _MAX_CLASS_N:
+        raise TooManyClasses(args.n)  # the oracle would refuse it after every smaller n
     failures = 0
     total = 0
     for n in range(2, args.n + 1):
         parts = partitions_of(n)
-        triples = [(lam, mu, nu) for lam in parts for mu in parts for nu in parts]
         bad = []
-        for triple in triples:
+        for triple in product(parts, repeat=3):
             values = (kron_via_cr(*triple), kron_via_faces(*triple, 1), g_oracle(*triple))
             if len(set(values)) != 1:
                 bad.append((triple, values))
@@ -205,8 +209,9 @@ def _cmd_selfcheck(args) -> int:
                 f"MISMATCH g{lam, mu, nu}: polytopes={via_cr} faces={via_faces} oracle={oracle}"
             )
         failures += len(bad)
-        total += len(triples)
-        print(f"n={n}: {len(triples)} triples checked, {len(bad)} mismatches")
+        checked = len(parts) ** 3
+        total += checked
+        print(f"n={n}: {checked} triples checked, {len(bad)} mismatches")
     print(f"selfcheck {'FAILED' if failures else 'OK'}: {total} triples")
     return 1 if failures else 0
 

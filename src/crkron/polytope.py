@@ -47,24 +47,29 @@ the checks' bounds by closing position) is built once per (p, q, r) and kept
 (``_plan``).  The search takes one frame per free cell, so ``_plan``
 counts the free cells from the two staircases and refuses a shape whose
 free cells reach the recursion limit with ``RecursionError`` before it
-compiles any check.  A subtree on the face union counts all its points, as
-a plain search does, and lam and mu fix the rest: the memo of the states
-on the union outlives the search.  One slot keeps it for the last (lam,
-mu, transport_only) counted, across every tau and face union of that pair,
-and a search of another pair replaces it, so memory stays bounded by one
+compiles any check; each search refuses, before its first frame, when the
+frames already in use plus one per free cell and the leaf's would reach
+it.  A subtree on the face union counts all its points, as a plain search
+does, and lam and mu fix the rest: the memo of the states on the union
+outlives the search.  ``_pair_memo`` keeps it for the last (lam, mu,
+transport_only) counted, across every tau and face union of that pair, and
+a search of another pair replaces it, so memory stays bounded by one
 pair's states.  A state off the union counts only the points on one
-search's union, so that memo lives for the search.  Enumeration runs the
-same recursion with the memo off and sorts the points it finds.
+search's union, so that memo lives for the search.  Every count, plain or
+on a face union, goes through one entry on validated tuples, ``_count``,
+which caches it by value.  Enumeration runs the same recursion with the
+memo off and sorts the points it finds.
 """
 
 from __future__ import annotations
 
 import random
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .partitions import Composition, Partition, SizeMismatch, composition, partition
 
@@ -190,7 +195,7 @@ class RowTight:
 @dataclass(frozen=True)
 class FaceUnion:
     """Union of faces; a point belongs if it lies in any member.  The hash
-    is taken once, as ``count_points`` keys its memo on the union."""
+    is taken once, as ``_count`` keys its cache on the union."""
 
     faces: tuple
 
@@ -580,16 +585,16 @@ def _form_plan(forms: tuple, p: int, q: int, r: int, transport_only: bool):
     return tuple(map(tuple, forms_at)), last
 
 
-# The on-union memo of the last (lam, mu, transport_only) that ``_search``
-# counted, as ``(pair, memo)``, keyed by packed states (see ``_radix``); a
-# search of another pair replaces it.
-_memo_slot: tuple[tuple | None, dict[int, int]] = (None, {})
+@lru_cache(maxsize=1)
+def _pair_memo(lam: Partition, mu: Partition, transport_only: bool) -> dict[int, int]:
+    """The on-union memo of the last (lam, mu, transport_only) that ``_search``
+    counted, keyed by packed states (see ``_radix``); a search of another
+    pair replaces it."""
+    return {}
 
 
 def _search(
-    system: CRSystem,
-    on_solution: Callable[[list[int]], None] | None = None,
-    forms: tuple | None = None,
+    lam: Partition, mu: Partition, tau: Composition, transport_only: bool, forms: tuple | None = None, on_solution=None
 ) -> int:
     """Depth-first assignment of all integer points; returns their number.
 
@@ -620,34 +625,43 @@ def _search(
     is exact across every tau of one (lam, mu): the level residuals tell
     apart taus of one length, and the sentinel and the position's base
     tell apart r.  A state on the union counts every point below it, as in
-    a plain search, so its count goes into ``_memo_slot``, shared by every
+    a plain search, so its count goes into ``_pair_memo``, shared by every
     count of the same (lam, mu, transport_only); a state off the union
     counts only the points on this search's union, so its count goes into
     a memo of this search.  A count is stored only once its subtree is
-    complete, so an interrupted search leaves the slot exact.  With
+    complete, so an interrupted search leaves the pair's memo exact.  With
     ``on_solution`` the memo is off and every point reaches it, in search
     order.
+
+    The targets come as validated tuples (see ``CRSystem``).  ``rec``
+    stacks one frame per free cell and the leaf's, and on_solution's when
+    enumerating, on the frames already in use, so the search refuses with
+    ``RecursionError`` before its first ``rec`` call when they would reach
+    the recursion limit.  The frames counted are Python frames: CPython
+    3.11 also counts calls from C code into Python that are still running
+    (a test runner makes many), which no frame shows, so from such a stack
+    the search can still meet Python's own ``RecursionError``.
     """
-    p, q, r = system.dims
-    plan = _plan(p, q, r, system.transport_only)
-    target = system.lam + system.mu + system.tau
+    p, q, r = len(lam), len(mu), len(tau)
+    plan = _plan(p, q, r, transport_only)
+    target = lam + mu + tau
     if any(target[unit] for unit in plan.idle):
         return 0
-    form_plan = None if forms is None else _form_plan(forms, p, q, r, system.transport_only)
+    form_plan = None if forms is None else _form_plan(forms, p, q, r, transport_only)
     # Without forms (or with one that is 0 everywhere) every branch is on the union.
     forms_at, last = form_plan or ((), 0)
     if last < 0:
         return 0
     free_cells, units, completes, bounds_at = plan.free, plan.units, plan.completes, plan.bounds_at
     n_free = len(free_cells)
-    weights, digits = _radix(p, q, r, system.transport_only, sum(system.lam))
-    global _memo_slot
+    limit = sys.getrecursionlimit()
+    with suppress(ValueError):  # _getframe(k) raises unless this frame and k callers are in use
+        sys._getframe(max(limit - n_free - 2 - (on_solution is not None), 0))
+        # they are: with n_free frames, the leaf's (and on_solution's) on top they reach the limit
+        raise RecursionError(f"{n_free} free cells above the frames in use, recursion limit {limit}")
+    weights, digits = _radix(p, q, r, transport_only, sum(lam))
     if on_solution is None:
-        pair = (system.lam, system.mu, system.transport_only)
-        slot = _memo_slot  # read once: the memo taken is this pair's
-        if slot[0] != pair:
-            slot = _memo_slot = (pair, {})
-        memos = ({}, slot[1])  # off the union, on it
+        memos = ({}, _pair_memo(lam, mu, transport_only))  # off the union, on it
 
     entries = [0] * (p * q * r)
     rem = list(target)
@@ -716,8 +730,13 @@ def _tensor_from_flat(entries: Sequence[Number], p: int, q: int, r: int) -> Tens
     return Tensor3(tuple(tuple(rows[k * p : (k + 1) * p]) for k in range(r)))
 
 
-# Face-union counts by value, (lam, mu, tau, face) -> count.
-_face_counts: dict[tuple, int] = {}
+@lru_cache(maxsize=None)
+def _count(lam: Partition, mu: Partition, tau: Composition, transport_only: bool, face) -> int:
+    """The one count entry, on validated tuples: compiles the face's forms
+    (none for a plain count) and searches.  A bad face or a refused shape
+    raises and is never cached, so it raises every time."""
+    forms = None if face is None else _face_forms(face, len(lam), len(mu), len(tau))
+    return _search(lam, mu, tau, transport_only, forms)
 
 
 def count_points(system: CRSystem, face: FacePredicate | None = None) -> int:
@@ -725,28 +744,19 @@ def count_points(system: CRSystem, face: FacePredicate | None = None) -> int:
 
     A face union is counted inside the search: each face becomes a linear
     form (``_face_forms``), and a subtree is counted whole as soon as one
-    form is 0 on it.  Face counts are memoized on (lam, mu, tau, face).
+    form is 0 on it.  Plain and face counts alike are cached on (lam, mu,
+    tau, transport_only, face) by ``_count``.
     """
-    if face is None:
-        return _search(system)
-    if system.transport_only:
+    if face is not None and system.transport_only:
         raise ValueError(f"face counts need a column-row system, not {system!r}")
-    key = (system.lam, system.mu, system.tau, face)
-    count = _face_counts.get(key)
-    if count is None:
-        # a bad face raises here and is never stored, so it raises every time
-        forms = _face_forms(face, *system.dims)
-        count = _face_counts[key] = _search(system, forms=forms)
-    return count
+    return _count(system.lam, system.mu, system.tau, system.transport_only, face)
 
 
 def enumerate_points(system: CRSystem) -> tuple[Tensor3, ...]:
     """All integer points, in lexicographic order of the flattened entries."""
-    p, q, r = system.dims
     found: list[tuple[int, ...]] = []
-    _search(system, lambda entries: found.append(tuple(entries)))
-    found.sort()
-    return tuple(_tensor_from_flat(entries, p, q, r) for entries in found)
+    _search(system.lam, system.mu, system.tau, system.transport_only, on_solution=lambda x: found.append(tuple(x)))
+    return tuple(_tensor_from_flat(entries, *system.dims) for entries in sorted(found))
 
 
 def face_hit_counts(system: CRSystem, union: FaceUnion) -> tuple[int, ...]:
@@ -907,19 +917,15 @@ def affine_rank(points: Sequence[Tensor3]) -> int:
             raise SizeMismatch("points must share dimensions")
         rows.append([Fraction(x) - Fraction(y) for x, y in zip(_flat_entries(point), base)])
     rank = 0
-    cols = len(base)
-    pivot_col = 0
-    while pivot_col < cols and rank < len(rows):
-        pivot = next((ri for ri in range(rank, len(rows)) if rows[ri][pivot_col] != 0), None)
+    for col in range(len(base)):
+        pivot = next((ri for ri in range(rank, len(rows)) if rows[ri][col] != 0), None)
         if pivot is None:
-            pivot_col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][pivot_col]
+        lead = rows[rank]
         for ri in range(rank + 1, len(rows)):
-            factor = rows[ri][pivot_col] / lead
+            factor = rows[ri][col] / lead[col]
             if factor:
-                rows[ri] = [a - factor * b for a, b in zip(rows[ri], rows[rank])]
+                rows[ri] = [a - factor * b for a, b in zip(rows[ri], lead)]
         rank += 1
-        pivot_col += 1
     return rank

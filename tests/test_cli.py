@@ -246,6 +246,22 @@ def test_deep_input_exits_2_without_traceback():
     assert "Traceback" not in proc.stderr
 
 
+def test_input_too_deep_for_the_frames_in_use_is_refused():
+    # 995 free cells fit under the recursion limit of 1000 alone, but not
+    # above the frames the CLI already uses: the guard refuses it.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    argv = ["count", "--lambda", "3,3,3,3,3,2,2,2", "--mu", "3,2,2,2,2,2,2,2,2,2", "--tau", "2,2,2,2,2,2,2,2,1,1,1,1,1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "crkron.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: input too deep (995 free cells above the frames in use, recursion limit 1000)\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -304,6 +320,18 @@ def test_selfcheck_reports_a_mismatch(capsys, monkeypatch):
 
 def test_selfcheck_needs_n_at_least_2(capsys):
     assert run_cli(capsys, "selfcheck", "--n", "1") == (2, "", "error: selfcheck needs --n >= 2\n")
+
+
+def test_selfcheck_over_class_budget_exits_2_before_checking(capsys, monkeypatch):
+    def checked(*triple):
+        raise AssertionError(f"checked {triple} before refusing")
+
+    monkeypatch.setattr(cli, "kron_via_cr", checked)
+    code, out, err = run_cli(capsys, "selfcheck", "--n", "52")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: S_52 has more than MAX_CLASSES = 250000 conjugacy classes; the character routes take n <= 51\n"
+    )
 
 
 def test_closed_stdout_exits_0_quietly():

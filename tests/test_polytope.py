@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
@@ -260,6 +261,10 @@ def test_zero_level_is_transparent():
     assert count_points(CRSystem((2, 1), (2, 1), (2, 1, 0))) == base
 
 
+def _search(system, forms):
+    return polytope._search(system.lam, system.mu, system.tau, system.transport_only, forms)
+
+
 def test_face_count_edge_cases():
     system = CRSystem((2, 1), (2, 1), (2, 1))
     p, q, _ = system.dims
@@ -267,7 +272,7 @@ def test_face_count_edge_cases():
     assert count_points(system, FaceUnion(())) == 0
     # a form on forced cells only is 0 at every point
     i, j, k = min(system.vanishing)
-    assert polytope._search(system, forms=(((polytope._flat(i, j, k, p, q),), ()),)) == full
+    assert _search(system, forms=(((polytope._flat(i, j, k, p, q),), ()),)) == full
     with pytest.raises(ValueError):
         count_points(system, EntryZero(3))
     with pytest.raises(ValueError):
@@ -287,7 +292,7 @@ def test_face_memo_is_kept_apart_from_plain_memo():
     points = enumerate_points(system)
     assert len(points) == 12
     on_union = [point for point in points if point.entry(1, 1, 1) == 0 or point.entry(2, 2, 2) == 0]
-    assert polytope._search(system, forms=forms) == len(on_union) == 8
+    assert _search(system, forms=forms) == len(on_union) == 8
 
 
 def test_deep_counts_pinned():
@@ -603,6 +608,53 @@ def test_too_deep_input_fails_before_planning(monkeypatch):
         count_points(CRSystem(twenties, twenties, twenties))
 
 
+def _frames_in_use():
+    """Frames on the caller's stack, the caller's own included."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_depth_guard_counts_the_frames_in_use(monkeypatch):
+    # rec stacks one frame per free cell and the leaf's on the frames in use
+    # (on_solution's too when enumerating): the search is refused exactly
+    # when they reach the limit, before any rec call, and nothing is cached.
+    # The guard reads a stand-in limit, so a search it lets through runs
+    # under the interpreter's own.
+    system = CRSystem((2, 2, 1), (2, 2, 1), (2, 2, 1))
+    n_free = len(polytope._plan(3, 3, 3, False).free)
+    want = count_points(system)
+    depth = _frames_in_use()
+    # lambda -> count_points -> _count -> _search, or lambda -> enumerate_points
+    # -> _search, sit above this frame
+    for reach, call in (
+        (depth + 4 + n_free + 1, lambda: count_points(system)),
+        (depth + 3 + n_free + 2, lambda: len(enumerate_points(system))),
+    ):
+        _clear_count_caches()
+        polytope._pair_memo.cache_clear()
+        monkeypatch.setattr(sys, "getrecursionlimit", lambda: reach)
+        refused = f"^{n_free} free cells above the frames in use, recursion limit {reach}$"
+        with pytest.raises(RecursionError, match=refused):
+            call()
+        assert polytope._count.cache_info().currsize == polytope._pair_memo.cache_info().currsize == 0
+        monkeypatch.setattr(sys, "getrecursionlimit", lambda: reach + 1)
+        assert call() == want
+
+
+def test_failed_face_count_is_never_cached():
+    system = CRSystem((2, 1), (2, 1), (2, 1))
+    transport = CRSystem((2, 1), (2, 1), (2, 1), transport_only=True)
+    _clear_count_caches()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            count_points(system, EntryZero(3))
+        with pytest.raises(ValueError, match="column-row system"):
+            count_points(transport, DiagZero(1))
+        assert polytope._count.cache_info().currsize == 0
+
+
 def _named_faces(p, q, r):
     """Every single face predicate in range for the (p, q, r) cone."""
     if p > q:
@@ -806,13 +858,13 @@ def _clear_count_caches():
     from crkron import kronecker
 
     kronecker._cr_count_cached.cache_clear()
-    polytope._face_counts.clear()
+    polytope._count.cache_clear()
 
 
 def _cold(count):
-    """``count()`` with every count cache and the search's memo slot empty."""
+    """``count()`` with every count cache and the pair's on-union memo empty."""
     _clear_count_caches()
-    polytope._memo_slot = (None, {})
+    polytope._pair_memo.cache_clear()
     return count()
 
 
@@ -851,7 +903,7 @@ def test_memo_slot_is_exact_across_tau():
     rng = random.Random("memo-slot-across-tau")
     order = list(range(len(counts)))
     column_row = [at for at in order if not counts[at][0].transport_only]
-    polytope._memo_slot = (None, {})
+    polytope._pair_memo.cache_clear()
     # column-row counts alone share one slot; mixed with transport counts
     # the slot changes hands between the two kinds
     for pass_order in (column_row, order):
@@ -865,12 +917,20 @@ def test_memo_slot_is_exact_across_tau():
 def test_memo_slot_holds_one_pair():
     first = CRSystem((3, 2, 1), (3, 2, 1), (2, 2, 2))
     second = CRSystem((4, 1, 1), (2, 2, 2), (3, 2, 1))
-    polytope._memo_slot = (None, {})
-    count_points(second)
-    alone = dict(polytope._memo_slot[1])
+
+    def held(system):
+        """The pair memo's entries, which must be ``system``'s (a cache hit)."""
+        hits = polytope._pair_memo.cache_info().hits
+        memo = dict(polytope._pair_memo(system.lam, system.mu, False))
+        assert polytope._pair_memo.cache_info().hits == hits + 1, system
+        return memo
+
+    _cold(lambda: count_points(second))
+    alone = held(second)
+    _clear_count_caches()
     count_points(first)
-    assert polytope._memo_slot[0] == (first.lam, first.mu, False)
-    assert set(polytope._memo_slot[1]) - set(alone)
+    assert set(held(first)) - set(alone)
+    _clear_count_caches()
     count_points(second)
-    assert polytope._memo_slot[0] == (second.lam, second.mu, False)
-    assert polytope._memo_slot[1] == alone
+    assert polytope._pair_memo.cache_info().currsize == 1
+    assert held(second) == alone
