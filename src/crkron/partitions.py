@@ -75,14 +75,10 @@ def parse_composition(text: str) -> Composition:
     return tuple(parts)
 
 
-def drop_zeros(comp: Iterable[int]) -> Composition:
-    """Remove every zero part (not just trailing ones)."""
-    return tuple(x for x in comp if x != 0)
-
-
 def sort_desc(comp: Iterable[int]) -> Partition:
-    """Sort a composition into the partition with the same multiset of parts."""
-    return tuple(sorted(drop_zeros(comp), reverse=True))
+    """Sort a composition into the partition with the same multiset of
+    parts, every zero part (not just trailing ones) dropped."""
+    return tuple(sorted((x for x in comp if x != 0), reverse=True))
 
 
 def dominance_geq(alpha: Partition, beta: Partition) -> bool:

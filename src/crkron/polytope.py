@@ -55,10 +55,12 @@ outlives the search.  ``_pair_memo`` keeps it for the last (lam, mu,
 transport_only) counted, across every tau and face union of that pair, and
 a search of another pair replaces it, so memory stays bounded by one
 pair's states.  A state off the union counts only the points on one
-search's union, so that memo lives for the search.  Every count, plain or
-on a face union, goes through one entry on validated tuples, ``_count``,
-which caches it by value.  Enumeration runs the same recursion with the
-memo off and sorts the points it finds.
+search's union, so that memo lives for the search.  The search takes the
+face itself and reads its forms' bounds from one cache per face and shape
+(``_form_plan``).  Every count, plain or on a face union, goes through one
+entry on validated tuples, ``_count``: the search, cached by value.
+Enumeration runs the same recursion with the memo off and sorts the points
+it finds.
 """
 
 from __future__ import annotations
@@ -195,7 +197,8 @@ class RowTight:
 @dataclass(frozen=True)
 class FaceUnion:
     """Union of faces; a point belongs if it lies in any member.  The hash
-    is taken once, as ``_count`` keys its cache on the union."""
+    is taken once, as ``_count`` and ``_form_plan`` key their caches on the
+    union."""
 
     faces: tuple
 
@@ -286,7 +289,6 @@ def _holds(family: _Family, entries: Sequence[Number]) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
 def _face_forms(face: FacePredicate, p: int, q: int, r: int) -> tuple:
     """A face predicate as checks ``(lhs, rhs)`` over flat indices.
 
@@ -458,8 +460,8 @@ class _Plan(NamedTuple):
     position the bounds ``(close, other, lower)`` of the checks closing
     there, with ``close`` and ``other`` unit ids, and ``reductions`` maps
     every check to its closing position (-1 if it has no free cell) and
-    its bound (None then).  A face form is entered as one of these bounds
-    (see ``_form_plan``).
+    its bound (None then).  A face's forms are entered as such bounds, once
+    per face and shape (see ``_form_plan``).
 
     No bound reads a cell, so at every position the cells already assigned
     reach the rest of the search only through the residuals, and the
@@ -473,21 +475,6 @@ class _Plan(NamedTuple):
     completes: tuple[int, ...]
     bounds_at: tuple[tuple[tuple, ...], ...]
     reductions: dict[tuple, tuple[int, tuple | None]]
-
-
-def _closing(pairs, pos_of: dict[int, int]) -> list:
-    """The last free position of each side of each ``(lhs, rhs)``, -1 for a
-    side with none.  A side lists its cells against the search order (the
-    top of its stack column, or the left end of its concatenation row,
-    first), so that is the position of its first free cell."""
-
-    def last(side) -> int:
-        for t in side:
-            if t in pos_of:
-                return pos_of[t]
-        return -1
-
-    return [(last(lhs), last(rhs)) for lhs, rhs in pairs]
 
 
 @lru_cache(maxsize=None)
@@ -508,18 +495,25 @@ def _plan(p: int, q: int, r: int, transport_only: bool) -> _Plan:
     units = tuple((idx // q % p, p + idx % q, p + q + idx // (p * q)) for idx in free)
 
     last_of = {unit: pos for pos, cell in enumerate(units) for unit in cell}
-    completes = [-1] * len(free)
-    for unit, pos in last_of.items():
-        completes[pos] = unit
+    ends = {pos: unit for unit, pos in last_of.items()}  # one unit per position (see _Plan)
+
+    def last(side) -> int:
+        """The last free position of a check's side, -1 if it has none.  A
+        side lists its cells against the search order (the top of its stack
+        column, or the left end of its concatenation row, first), so that is
+        the position of its first free cell."""
+        for t in side:
+            if t in pos_of:
+                return pos_of[t]
+        return -1
 
     bounds_at: list[list] = [[] for _ in free]
     reductions: dict[tuple, tuple[int, tuple | None]] = {}
     families = () if transport_only else _compile_constraints(p, q, r)
     for offset, family in zip((p, 0), families):
         # Check (j, i) compares a side on unit offset + j - 1 with one on offset + j.
-        for (j, _), pair, (lhs_last, rhs_last) in zip(
-            family.labels, family.checks, _closing(family.checks, pos_of)
-        ):
+        for (j, _), pair in zip(family.labels, family.checks):
+            lhs_last, rhs_last = map(last, pair)
             pos = max(lhs_last, rhs_last)
             bound = None
             if pos >= 0:
@@ -533,7 +527,7 @@ def _plan(p: int, q: int, r: int, transport_only: bool) -> _Plan:
         units,
         pos_of,
         tuple(unit for unit in range(p + q + r) if unit not in last_of),
-        tuple(completes),
+        tuple(ends.get(pos, -1) for pos in range(len(free))),
         tuple(map(tuple, bounds_at)),
         reductions,
     )
@@ -559,8 +553,9 @@ def _radix(p: int, q: int, r: int, transport_only: bool, n: int):
 
 
 @lru_cache(maxsize=None)
-def _form_plan(forms: tuple, p: int, q: int, r: int, transport_only: bool):
-    """Face forms on a shape's plan: ``(forms_at, last)``.
+def _form_plan(face: FacePredicate, p: int, q: int, r: int, transport_only: bool):
+    """The face's forms (``_face_forms``) on a shape's plan: ``(forms_at,
+    last)``, kept per face and shape.
 
     Every form is a bound ``(close, other, lower)`` (see ``_Plan``) at the
     position of its last free cell (``forms_at``; ``last`` is the last such
@@ -573,7 +568,7 @@ def _form_plan(forms: tuple, p: int, q: int, r: int, transport_only: bool):
     plan = _plan(p, q, r, transport_only)
     forms_at: list[list[tuple]] = [[] for _ in plan.free]
     last = -1
-    for lhs, rhs in forms:
+    for lhs, rhs in _face_forms(face, p, q, r):
         if rhs:
             pos, bound = plan.reductions[lhs, rhs]
         else:  # a single cell: v >= 0, with one unit (row 1) on both sides, so d = 0
@@ -594,7 +589,7 @@ def _pair_memo(lam: Partition, mu: Partition, transport_only: bool) -> dict[int,
 
 
 def _search(
-    lam: Partition, mu: Partition, tau: Composition, transport_only: bool, forms: tuple | None = None, on_solution=None
+    lam: Partition, mu: Partition, tau: Composition, transport_only: bool, face=None, on_solution=None
 ) -> int:
     """Depth-first assignment of all integer points; returns their number.
 
@@ -610,11 +605,12 @@ def _search(
     is tried; off the face union the tight values of the form bounds narrow
     them further (below).
 
-    With ``forms`` (see ``_face_forms``) only the points on the union of
-    their faces count.  Every form is a bound at its last free cell (see
+    With a ``face`` only the points on it (on some member, for a union)
+    count: each face is a linear form, 0 exactly on it (see
+    ``_face_forms``).  Every form is a bound at its last free cell (see
     ``_form_plan``), and a node off the union takes the tight values d of
     its form bounds as hit values; ``hit`` marks a branch already on the
-    union (from the start when there are no forms).  An off-union branch at
+    union (from the start when there is no face).  An off-union branch at
     the last deciding cell tries only the hit values, so no branch runs
     past it with every form nonzero.  When counting, each subtree is
     counted once per state at every position: no bound, of a check or of a
@@ -633,7 +629,9 @@ def _search(
     ``on_solution`` the memo is off and every point reaches it, in search
     order.
 
-    The targets come as validated tuples (see ``CRSystem``).  ``rec``
+    The targets come as validated tuples (see ``CRSystem``); ``_count``
+    caches the search on its arguments, and a bad face or a refused shape
+    raises there and is never cached, so it raises every time.  ``rec``
     stacks one frame per free cell and the leaf's, and on_solution's when
     enumerating, on the frames already in use, so the search refuses with
     ``RecursionError`` before its first ``rec`` call when they would reach
@@ -644,11 +642,11 @@ def _search(
     """
     p, q, r = len(lam), len(mu), len(tau)
     plan = _plan(p, q, r, transport_only)
+    form_plan = None if face is None else _form_plan(face, p, q, r, transport_only)
     target = lam + mu + tau
     if any(target[unit] for unit in plan.idle):
         return 0
-    form_plan = None if forms is None else _form_plan(forms, p, q, r, transport_only)
-    # Without forms (or with one that is 0 everywhere) every branch is on the union.
+    # Without a face (or with a form that is 0 everywhere) every branch is on the union.
     forms_at, last = form_plan or ((), 0)
     if last < 0:
         return 0
@@ -730,13 +728,8 @@ def _tensor_from_flat(entries: Sequence[Number], p: int, q: int, r: int) -> Tens
     return Tensor3(tuple(tuple(rows[k * p : (k + 1) * p]) for k in range(r)))
 
 
-@lru_cache(maxsize=None)
-def _count(lam: Partition, mu: Partition, tau: Composition, transport_only: bool, face) -> int:
-    """The one count entry, on validated tuples: compiles the face's forms
-    (none for a plain count) and searches.  A bad face or a refused shape
-    raises and is never cached, so it raises every time."""
-    forms = None if face is None else _face_forms(face, len(lam), len(mu), len(tau))
-    return _search(lam, mu, tau, transport_only, forms)
+# The one count entry, on validated tuples, plain or on a face.
+_count = lru_cache(maxsize=None)(_search)
 
 
 def count_points(system: CRSystem, face: FacePredicate | None = None) -> int:
@@ -757,11 +750,6 @@ def enumerate_points(system: CRSystem) -> tuple[Tensor3, ...]:
     found: list[tuple[int, ...]] = []
     _search(system.lam, system.mu, system.tau, system.transport_only, on_solution=lambda x: found.append(tuple(x)))
     return tuple(_tensor_from_flat(entries, *system.dims) for entries in sorted(found))
-
-
-def face_hit_counts(system: CRSystem, union: FaceUnion) -> tuple[int, ...]:
-    """Diagnostic: per-face point counts over a union (faces may overlap)."""
-    return tuple(count_points(system, member) for member in union.faces)
 
 
 # --- level-1 structure and the named inequalities --------------------------

@@ -39,7 +39,6 @@ from crkron.polytope import (
     count_points,
     diag_values,
     enumerate_points,
-    face_hit_counts,
     is_member,
     row_ineq_slack,
 )
@@ -363,7 +362,7 @@ def test_face_counts_match_slack_filter():
                 for ell in range(1, len(lam2) + 1):
                     union = faces_of(lam2, mu2, tau, ell)
                     assert count_points(system, union) == sum(_on_face(x, union) for x in points)
-                    assert face_hit_counts(system, union) == tuple(
+                    assert tuple(count_points(system, f) for f in union.faces) == tuple(
                         sum(_on_face(x, face) for x in points) for face in union.faces
                     )
                 p, q, r = system.dims
@@ -469,19 +468,6 @@ def test_dvir_bound_flags_only_zeros():
 def test_kron_via_faces_examples():
     assert kron_via_faces((2, 1), (2, 1), (2, 1), 1) == 1
     assert kron_via_faces((3,), (1, 1, 1), (2, 1), 1) == 0  # shortcut triple
-
-
-def test_face_hit_counts_diagnostics():
-    from crkron.polytope import face_hit_counts
-
-    lam = mu = (2, 1)
-    system = CRSystem(lam, mu, (2, 1))
-    union = face_F_plus(lam, mu, (2, 1), 2)
-    hits = face_hit_counts(system, union)
-    assert len(hits) == len(union.faces)
-    # the union count never exceeds the per-face total (faces may overlap)
-    assert count_points(system, union) <= sum(hits)
-    assert max(hits) <= count_points(system)
 
 
 def test_face_term_breakdown_schema():

@@ -25,7 +25,6 @@ from crkron.polytope import (
     count_points,
     diag_values,
     enumerate_points,
-    face_hit_counts,
     free_cone_coordinates,
     hypercube_interval,
     hypercube_sample,
@@ -261,18 +260,25 @@ def test_zero_level_is_transparent():
     assert count_points(CRSystem((2, 1), (2, 1), (2, 1, 0))) == base
 
 
-def _search(system, forms):
-    return polytope._search(system.lam, system.mu, system.tau, system.transport_only, forms)
+def _search(system, face):
+    return polytope._search(system.lam, system.mu, system.tau, system.transport_only, face)
 
 
-def test_face_count_edge_cases():
+def test_face_count_edge_cases(monkeypatch):
     system = CRSystem((2, 1), (2, 1), (2, 1))
     p, q, _ = system.dims
     full = count_points(system)
     assert count_points(system, FaceUnion(())) == 0
-    # a form on forced cells only is 0 at every point
+    # a form on forced cells only is 0 at every point; no face predicate
+    # compiles to one, so a face is given that form for one search
     i, j, k = min(system.vanishing)
-    assert _search(system, forms=(((polytope._flat(i, j, k, p, q),), ()),)) == full
+    polytope._form_plan.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(polytope, "_face_forms", lambda face, *shape: (((polytope._flat(i, j, k, p, q),), ()),))
+        try:
+            assert _search(system, DiagZero(1)) == full
+        finally:
+            polytope._form_plan.cache_clear()  # drop the stand-in plan
     with pytest.raises(ValueError):
         count_points(system, EntryZero(3))
     with pytest.raises(ValueError):
@@ -287,12 +293,31 @@ def test_face_memo_is_kept_apart_from_plain_memo():
     # a level-2 state reached both on the union (x(1,1,1) = 0) and off it
     # (x(1,1,1) = 1, x(2,2,2) still open): one shared memo would count 9
     system = CRSystem((2, 2), (2, 2), (2, 2), transport_only=True)
-    p, q, _ = system.dims
-    forms = tuple(((polytope._flat(i, i, i, p, q),), ()) for i in (1, 2))
+    p, q, r = system.dims
+    union = FaceUnion((DiagZero(1), EntryZero(2)))  # the cells (1, 1, 1) and (2, 2, 2)
+    assert polytope._face_forms(union, p, q, r) == tuple(((polytope._flat(i, i, i, p, q),), ()) for i in (1, 2))
     points = enumerate_points(system)
     assert len(points) == 12
     on_union = [point for point in points if point.entry(1, 1, 1) == 0 or point.entry(2, 2, 2) == 0]
-    assert _search(system, forms=forms) == len(on_union) == 8
+    assert _search(system, union) == len(on_union) == 8
+
+
+def test_nested_face_union_counts_as_flat_union():
+    # A union's members may be unions; the outer union alone keys the search's
+    # form plan, and its forms are those of the flattened union.
+    system = CRSystem((3, 2, 1), (3, 2, 1), (3, 2, 1))
+    nested = FaceUnion((FaceUnion((DiagZero(1),)), EntryZero(1), FaceUnion((ColTight(1, 1), RowTight(1, 2)))))
+    flat = FaceUnion((DiagZero(1), EntryZero(1), ColTight(1, 1), RowTight(1, 2)))
+    assert polytope._face_forms(nested, 3, 3, 3) == polytope._face_forms(flat, 3, 3, 3)
+    on_union = [
+        point
+        for point in enumerate_points(system)
+        if point.entry(1, 1, 1) == 0
+        or point.entry(1, 1, 2) == 0
+        or col_ineq_slack(point, 1, 1) == 0
+        or row_ineq_slack(point, 1, 2) == 0
+    ]
+    assert count_points(system, nested) == count_points(system, flat) == len(on_union) == 21
 
 
 def test_deep_counts_pinned():
@@ -308,8 +333,6 @@ def test_face_counts_need_column_row_system():
     for face in (DiagZero(1), EntryZero(1), FaceUnion((DiagZero(1), EntryZero(1)))):
         with pytest.raises(ValueError):
             count_points(transport, face)
-    with pytest.raises(ValueError):
-        face_hit_counts(transport, FaceUnion((DiagZero(1),)))
 
 
 def test_diag_values():
@@ -598,16 +621,6 @@ def test_compiled_constraints_match_cell_by_cell_reference():
                 assert polytope._forced(p, q, r) == {t for family in families for t in family.vanishing}
 
 
-def test_too_deep_input_fails_before_planning(monkeypatch):
-    def fail(*args):
-        raise AssertionError("the depth guard comes before _closing")
-
-    monkeypatch.setattr(polytope, "_closing", fail)
-    twenties = (2,) * 20
-    with pytest.raises(RecursionError):
-        count_points(CRSystem(twenties, twenties, twenties))
-
-
 def _frames_in_use():
     """Frames on the caller's stack, the caller's own included."""
     frame, depth = sys._getframe(1), 0
@@ -626,10 +639,10 @@ def test_depth_guard_counts_the_frames_in_use(monkeypatch):
     n_free = len(polytope._plan(3, 3, 3, False).free)
     want = count_points(system)
     depth = _frames_in_use()
-    # lambda -> count_points -> _count -> _search, or lambda -> enumerate_points
-    # -> _search, sit above this frame
+    # lambda -> count_points -> _search (through _count's cache, no frame), or
+    # lambda -> enumerate_points -> _search, sit above this frame
     for reach, call in (
-        (depth + 4 + n_free + 1, lambda: count_points(system)),
+        (depth + 3 + n_free + 1, lambda: count_points(system)),
         (depth + 3 + n_free + 2, lambda: len(enumerate_points(system))),
     ):
         _clear_count_caches()
@@ -814,20 +827,20 @@ def test_checks_and_forms_reduce_to_bounds_on_the_closing_cell():
                     assert {t for t in other_side if t in pos_of} == line_cells(other, close_pos), ((p, q, r), pair)
                 bound_of = dict(plan.reductions)  # (closing position, bound) of each check and cell form
                 for face in _named_faces(p, q, r):
-                    for form in polytope._face_forms(face, p, q, r):
-                        form_plan = polytope._form_plan((form,), p, q, r, False)
-                        if form_plan is None:
-                            assert all(t not in pos_of for t in form[0] + form[1])
-                            continue
-                        forms_at, last = form_plan
-                        assert [entry for entry in forms_at if entry] == [forms_at[last]]
-                        (entry,) = forms_at[last]
-                        if form[1]:
-                            assert plan.reductions[form] == (last, entry)
-                        else:  # a single cell: the bound v >= 0, one unit on both sides
-                            close, other, lower = entry
-                            assert form[0] == (free[last],) and close == other and lower
-                            bound_of[form] = (last, entry)
+                    (form,) = polytope._face_forms(face, p, q, r)
+                    form_plan = polytope._form_plan(face, p, q, r, False)
+                    if form_plan is None:
+                        assert all(t not in pos_of for t in form[0] + form[1])
+                        continue
+                    forms_at, last = form_plan
+                    assert [entry for entry in forms_at if entry] == [forms_at[last]]
+                    (entry,) = forms_at[last]
+                    if form[1]:
+                        assert plan.reductions[form] == (last, entry)
+                    else:  # a single cell: the bound v >= 0, one unit on both sides
+                        close, other, lower = entry
+                        assert form[0] == (free[last],) and close == other and lower
+                        bound_of[form] = (last, entry)
 
                 points = _points_of_shape(p, q, r)
                 forms = {form for face in _named_faces(p, q, r) for form in polytope._face_forms(face, p, q, r)}
