@@ -34,9 +34,11 @@ last deciding cell.  No floating point anywhere; rational data uses
 
 The search is exact but does not visit every point when it only counts.  No
 bound reads a cell, so at every position the assigned cells reach the rest
-of the search only through the residuals, and the search looks up its
-state at every position: the position and the residuals, packed into one
-int that each assignment lowers by one product (``_radix``).  The search
+of the search only through the residuals, and the search keys its state
+at every position: the position and the residuals, packed into one int
+that each assignment lowers by one product.  A node looks up each child's
+key before it descends, so a state counted before costs a dict lookup,
+not a search frame.  The search
 treats the three margins alike: row i, column j and level k are the units
 i, p + j and p + q + k (0-based) of one residual vector, which starts at
 the concatenated targets lam + mu + tau.  Equal states have equal
@@ -44,7 +46,9 @@ subtrees, so each is counted once: the transfer-matrix method (Stanley,
 Enumerative Combinatorics I, 4.7) run depth first.  The set-up that
 depends on the shape only (free cells, the unit each position completes,
 the checks' bounds by closing position) is built once per (p, q, r) and kept
-(``_plan``).  The search takes one frame per free cell, so ``_plan``
+(``_plan``), and gathered with each cell's key weight into one tuple per
+position once per shape and |lam| (``_steps``).  The search takes one frame
+per free cell, so ``_plan``
 counts the free cells from the two staircases and refuses a shape whose
 free cells reach the recursion limit with ``RecursionError`` before it
 compiles any check; each search refuses, before its first frame, when the
@@ -465,7 +469,8 @@ class _Plan(NamedTuple):
 
     No bound reads a cell, so at every position the cells already assigned
     reach the rest of the search only through the residuals, and the
-    position and the residuals fix it.
+    position and the residuals fix it.  The search reads a position's units,
+    flat index, bounds and completed unit as one tuple (see ``_steps``).
     """
 
     free: tuple[int, ...]
@@ -534,22 +539,31 @@ def _plan(p: int, q: int, r: int, transport_only: bool) -> _Plan:
 
 
 @lru_cache(maxsize=None)
-def _radix(p: int, q: int, r: int, transport_only: bool, n: int):
-    """Weights that pack a search state into one int: ``(weights, digits)``.
+def _steps(p: int, q: int, r: int, transport_only: bool, n: int):
+    """The search's data per position and the key's place values: ``(steps,
+    digits)``, kept per shape and n = |lam|.
 
-    A state is read as a mixed-radix number.  Its lowest digit is the
-    position, of base b = pqr + 1.  Above it sit the residuals, each a digit
-    of base B = n + 1: unit u (see ``_Plan``) has place value ``digits[u]``,
-    and a sentinel 1 sits at ``digits[-1]``, above the last level.
-    Assigning v to the free cell at ``pos`` lowers its three units'
-    residuals by v, so the state by ``v * weights[pos]``.  With
+    A state is packed into one int, its key, read as a mixed-radix number.
+    Its lowest digit is the position, of base b = pqr + 1.  Above it sit the
+    residuals, each a digit of base B = n + 1: unit u (see ``_Plan``) has
+    place value ``digits[u]``, and a sentinel 1 sits at ``digits[-1]``,
+    above the last level.  ``steps[pos]`` is ``(a, b, c, idx, weight,
+    bounds, completes)``: the position's three units, its flat index, its
+    weight ``digits[a] + digits[b] + digits[c]``, the checks' bounds closing
+    there and the unit it completes (see ``_Plan``).  Assigning v to the
+    cell lowers its three units' residuals by v and moves to the next
+    position, so the child's key is ``key + 1 - v * weight``.  With
     D = p + q + r the keys of one r lie in [b B^D, 2 b B^D), below those of
     r + 1, so the keys of one (lam, mu) never collide across tau.
     """
+    plan = _plan(p, q, r, transport_only)
     base = p * q * r + 1
     digits = tuple(base * (n + 1) ** d for d in range(p + q + r + 1))
-    weights = tuple(digits[a] + digits[b] + digits[c] for a, b, c in _plan(p, q, r, transport_only).units)
-    return weights, digits
+    steps = tuple(
+        (a, b, c, idx, digits[a] + digits[b] + digits[c], bounds, unit)
+        for (a, b, c), idx, bounds, unit in zip(plan.units, plan.free, plan.bounds_at, plan.completes)
+    )
+    return steps, digits
 
 
 @lru_cache(maxsize=None)
@@ -583,7 +597,7 @@ def _form_plan(face: FacePredicate, p: int, q: int, r: int, transport_only: bool
 @lru_cache(maxsize=1)
 def _pair_memo(lam: Partition, mu: Partition, transport_only: bool) -> dict[int, int]:
     """The on-union memo of the last (lam, mu, transport_only) that ``_search``
-    counted, keyed by packed states (see ``_radix``); a search of another
+    counted, keyed by packed states (see ``_steps``); a search of another
     pair replaces it."""
     return {}
 
@@ -615,9 +629,15 @@ def _search(
     past it with every form nonzero.  When counting, each subtree is
     counted once per state at every position: no bound, of a check or of a
     form, reads a cell (see ``_Plan``), so the position and the residuals
-    decide the rest of the search.  ``rec`` carries that state as one int
-    (see ``_radix``) and lowers it by ``v * weights[pos]`` for each value v
-    it assigns.  Of the targets, only lam and mu enter the bounds, so the key
+    decide the rest of the search.  ``rec(pos, hit, key)`` receives that
+    state as one int with the position folded in (see ``_steps``).  For each
+    value v it computes the child's key ``key + 1 - v * weight`` and looks
+    it up in the child's memo, the one that ``hit or v in hits`` names,
+    before it descends: a hit adds the stored count and goes to the next
+    value, with no call and no residual update.  A node stores its own
+    total under its own key on return; a dead node (``lb > ub``) and a leaf
+    store nothing, so each ``rec`` call is a memo miss, a dead node or a
+    leaf.  Of the targets, only lam and mu enter the bounds, so the key
     is exact across every tau of one (lam, mu): the level residuals tell
     apart taus of one length, and the sentinel and the position's base
     tell apart r.  A state on the union counts every point below it, as in
@@ -626,8 +646,8 @@ def _search(
     counts only the points on this search's union, so its count goes into
     a memo of this search.  A count is stored only once its subtree is
     complete, so an interrupted search leaves the pair's memo exact.  With
-    ``on_solution`` the memo is off and every point reaches it, in search
-    order.
+    ``on_solution`` the memo is off, so the same loop looks nothing up, and
+    every point reaches ``on_solution`` in search order.
 
     The targets come as validated tuples (see ``CRSystem``); ``_count``
     caches the search on its arguments, and a bad face or a refused shape
@@ -650,35 +670,31 @@ def _search(
     forms_at, last = form_plan or ((), 0)
     if last < 0:
         return 0
-    free_cells, units, completes, bounds_at = plan.free, plan.units, plan.completes, plan.bounds_at
-    n_free = len(free_cells)
+    n_free = len(plan.free)
     limit = sys.getrecursionlimit()
     with suppress(ValueError):  # _getframe(k) raises unless this frame and k callers are in use
         sys._getframe(max(limit - n_free - 2 - (on_solution is not None), 0))
         # they are: with n_free frames, the leaf's (and on_solution's) on top they reach the limit
         raise RecursionError(f"{n_free} free cells above the frames in use, recursion limit {limit}")
-    weights, digits = _radix(p, q, r, transport_only, sum(lam))
-    if on_solution is None:
-        memos = ({}, _pair_memo(lam, mu, transport_only))  # off the union, on it
+    steps, digits = _steps(p, q, r, transport_only, sum(lam))
+    memos = () if on_solution is not None else ({}, _pair_memo(lam, mu, transport_only))  # off, on the union
 
     entries = [0] * (p * q * r)
     rem = list(target)
 
-    def rec(pos: int, hit: bool, state: int) -> int:
+    def rec(pos: int, hit: bool, key: int) -> int:
         if pos == n_free:
             if on_solution is not None:
                 on_solution(entries)
             return 1
-        if on_solution is None:
-            memo = memos[hit]
-            key = state + pos
-            found = memo.get(key)
-            if found is not None:
-                return found
-        a, b, c = units[pos]
+        a, b, c, idx, weight, bounds, unit = steps[pos]
         lb = 0
-        ub = min(rem[a], rem[b], rem[c])
-        for close, other, lower in bounds_at[pos]:
+        ub = rem[a]
+        if rem[b] < ub:
+            ub = rem[b]
+        if rem[c] < ub:
+            ub = rem[c]
+        for close, other, lower in bounds:
             # The other side's sum less the closing line's assigned part.
             d = target[other] - rem[other] - target[close] + rem[close]
             if lower:
@@ -686,7 +702,6 @@ def _search(
                     lb = d
             elif d < ub:
                 ub = d
-        unit = completes[pos]
         if unit >= 0 and rem[unit] > lb:
             lb = rem[unit]  # the unit's last cell takes its whole residual
         if lb > ub:
@@ -698,26 +713,31 @@ def _search(
             hits = {target[other] - rem[other] - target[close] + rem[close] for close, other, _ in forms_at[pos]}
             if pos == last:
                 values = [v for v in hits if v in values]
-        idx = free_cells[pos]
-        weight = weights[pos]
+        after = key + 1  # the next position's key before v is assigned
         total = 0
         for v in values:
+            # An off-union branch at ``last`` tries only hit values, so none runs past it.
+            on = hit or v in hits
+            child = after - v * weight
+            if memos:
+                found = memos[on].get(child)
+                if found is not None:
+                    total += found
+                    continue
             entries[idx] = v
             rem[a] -= v
             rem[b] -= v
             rem[c] -= v
-            # An off-union branch at ``last`` tries only hit values, so none runs past it.
-            total += rec(pos + 1, hit or v in hits, state - v * weight)
+            total += rec(pos + 1, on, child)
             rem[a] += v
             rem[b] += v
             rem[c] += v
-        if on_solution is None:
-            memo[key] = total
+        if memos:
+            memos[hit][key] = total
         return total
 
-    state = sum(x * digit for x, digit in zip(rem, digits)) + digits[-1]
     try:
-        return rec(0, form_plan is None, state)
+        return rec(0, form_plan is None, sum(x * digit for x, digit in zip(rem, digits)) + digits[-1])
     finally:
         del rec  # rec reaches itself through its closure: break that cycle
 

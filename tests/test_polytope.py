@@ -947,3 +947,50 @@ def test_memo_slot_holds_one_pair():
     count_points(second)
     assert polytope._pair_memo.cache_info().currsize == 1
     assert held(second) == alone
+
+
+N18 = ((8, 6, 4), (6, 6, 6), (9, 6, 3))
+
+
+def test_pair_memo_holds_completed_subtrees_only():
+    # A node stores its total once its subtree is complete; a dead node
+    # (lb > ub) and a leaf store nothing, wherever the memo is looked up.
+    # So the pair memo after a cold route holds exactly these entries, this
+    # many of them 0: storing dead states or leaves would grow it.
+    from crkron.kronecker import kron_via_cr, kron_via_faces, normalize_triple
+
+    lam, mu, _, _ = normalize_triple(*N18)
+    for route, pinned in ((kron_via_cr, (9255, 1014)), (kron_via_faces, (4503, 501))):
+        assert _cold(lambda: route(*N18)) == 35
+        memo = polytope._pair_memo(lam, mu, False)
+        assert (len(memo), sum(1 for count in memo.values() if count == 0)) == pinned, route.__name__
+
+
+def _rec_calls(count):
+    """``count()`` cold, and the number of search nodes (``rec`` calls) it made."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "rec" and frame.f_code.co_filename == polytope.__file__:
+            calls += 1
+
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        value = _cold(count)
+    finally:
+        sys.setprofile(before)
+    return value, calls
+
+
+def test_search_nodes_pinned_n18():
+    # A parent looks each child's key up in the child's memo (on or off the
+    # union) before descending, so rec calls are memo misses, dead nodes and
+    # leaves.  Looking a child up in the parent's memo gives the same values
+    # but other node counts.
+    from crkron.kronecker import kron_via_cr, kron_via_faces
+
+    assert _rec_calls(lambda: kron_via_cr(*N18)) == (35, 11977)
+    assert _rec_calls(lambda: kron_via_faces(*N18, 1)) == (35, 17479)
+    assert _rec_calls(lambda: kron_via_faces(*N18, 2)) == (35, 10585)
