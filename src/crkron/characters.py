@@ -144,25 +144,25 @@ def _mn_value(mask: int, rho: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
-def _column(mask: int, n: int, cap: int | None = None) -> tuple[int, ...]:
+def _column(mask: int, n: int, cap: int) -> tuple[int, ...]:
     """chi(rho) of the partition with beta mask ``mask``, for every rho |- n
     with parts at most ``cap``, in the order of ``_partitions_below(n, cap)``.
 
     That order is the largest part h, descending, then the tails with parts
     at most h, so the block of h is the signed sum, over the rim hooks of
-    length h, of the capped columns of the hook-removed shapes at n - h.  A
-    full column is keyed ``(mask, n)`` and a capped one ``(mask, n, cap)``
-    with ``cap < n`` only, so each column is computed once.
+    length h, of the columns of the hook-removed shapes at n - h capped at
+    min(h, n - h).  Every call passes cap <= n, so a full column is keyed
+    ``(mask, n, n)`` alone and each column is computed once.
     """
     if not n:
         return (1,)  # the empty class of S_0
     column: list[int] = []
-    for h in range(n if cap is None else cap, 0, -1):
+    for h in range(cap, 0, -1):
         rest = n - h
-        below = (rest, h) if h < rest else (rest,)
+        below = min(h, rest)
         block = [0] * _count_below(rest, h)
         for moved, odd in _rim_hooks(mask, h):
-            block = list(map(sub if odd else add, block, _column(moved, *below)))
+            block = list(map(sub if odd else add, block, _column(moved, rest, below)))
         column += block
     return tuple(column)
 
@@ -267,7 +267,7 @@ def g_oracle(lam: Partition, mu: Partition, nu: Partition) -> int:
         raise SizeMismatch(f"sizes of {lam}, {mu}, {nu} differ")
     if n > _MAX_CLASS_N:
         raise TooManyClasses(n)
-    columns = [_column(_beta_mask(x), n) for x in (lam, mu, nu)]
+    columns = [_column(_beta_mask(x), n, n) for x in (lam, mu, nu)]
     total = 0
     for size, a, b, c in zip(_class_sizes(n), *columns):
         if a and b and c:
@@ -283,7 +283,7 @@ def lr_oracle(lam: Partition, mu: Partition, tau: Composition) -> int:
         raise SizeMismatch(f"sizes of {lam}, {mu}, {tau} differ")
     if n > _MAX_CLASS_N:
         raise TooManyClasses(n)
-    columns = [_column(_beta_mask(x), n) for x in (lam, mu)]
+    columns = [_column(_beta_mask(x), n, n) for x in (lam, mu)]
     total = 0
     for rho, size, a, b in zip(partitions_of(n), _class_sizes(n), *columns):
         if a and b:

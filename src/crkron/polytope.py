@@ -48,13 +48,12 @@ depends on the shape only (free cells, the unit each position completes,
 the checks' bounds by closing position) is built once per (p, q, r) and kept
 (``_plan``), and gathered with each cell's key weight into one tuple per
 position once per shape and |lam| (``_steps``).  The search takes one frame
-per free cell, so ``_plan``
-counts the free cells from the two staircases and refuses a shape whose
-free cells reach the recursion limit with ``RecursionError`` before it
-compiles any check; each search refuses, before its first frame, when the
-frames already in use plus one per free cell and the leaf's would reach
-it.  A subtree on the face union counts all its points, as a plain search
-does, and lam and mu fix the rest: the memo of the states on the union
+per free cell, so ``_search`` counts the free cells from the two staircases
+(``_forced``) and, before anything is planned or any check compiled,
+refuses with ``RecursionError`` when the frames already in use plus one
+per free cell and the leaf's would reach the recursion limit.  A subtree
+on the face union counts all its points, as a plain search does, and lam
+and mu fix the rest: the memo of the states on the union
 outlives the search.  ``_pair_memo`` keeps it for the last (lam, mu,
 transport_only) counted, across every tau and face union of that pair, and
 a search of another pair replaces it, so memory stays bounded by one
@@ -278,12 +277,15 @@ def _compile_constraints(p: int, q: int, r: int) -> tuple[_Family, _Family]:
     return _family(stack), _family(concat)
 
 
-def _forced(p: int, q: int, r: int) -> set[int]:
+@lru_cache(maxsize=None)
+def _forced(p: int, q: int, r: int) -> frozenset[int]:
     """Flat indices of both families' vanishing cells, read off the two
-    staircases of ``_flattenings`` alone: no check is compiled."""
-    return {
+    staircases of ``_flattenings`` alone: no check is compiled, so the
+    depth guard in ``_search`` counts the free cells from them before
+    anything is planned."""
+    return frozenset(
         m[i - 1][j - 1] for m in _flattenings(p, q, r) for i, j in _staircase(len(m), len(m[0]))
-    }
+    )
 
 
 def _holds(family: _Family, entries: Sequence[Number]) -> bool:
@@ -294,7 +296,8 @@ def _holds(family: _Family, entries: Sequence[Number]) -> bool:
 
 
 def _face_forms(face: FacePredicate, p: int, q: int, r: int) -> tuple:
-    """A face predicate as checks ``(lhs, rhs)`` over flat indices.
+    """A face predicate as checks ``(lhs, rhs)`` over flat indices; the one
+    validator of a named face, its kind, its index range and p <= q.
 
     On the cone sum(lhs) >= sum(rhs); a point lies on the face (on some
     member, for a union) where sum(lhs) == sum(rhs).  The diagonal value
@@ -322,10 +325,18 @@ def _face_forms(face: FacePredicate, p: int, q: int, r: int) -> tuple:
         return (((_flat(1, face.index, 1, p, q),), ()),)
     col_family, row_family = _compile_constraints(p, q, r)
     if isinstance(face, ColTight):
-        _check_col_ineq(face.j, face.t, p, q, r)
+        if not 1 <= face.j <= p:
+            raise ValueError(f"j = {face.j} out of range [1, {p}]")
+        if face.j == p == q:
+            raise ValueError("C(p, t) is only defined when p < q")
+        if not 1 <= face.t <= p * (r - 1):
+            raise ValueError(f"t = {face.t} out of range [1, {p * (r - 1)}]")
         family, label = col_family, (face.j, p * (r - 1) + 2 - face.t)
     else:
-        _check_row_ineq(face.i, face.s, p, q, r)
+        if not 1 <= face.i <= p - 1:
+            raise ValueError(f"i = {face.i} out of range [1, {p - 1}]")
+        if not 1 <= face.s <= q * (r - 1):
+            raise ValueError(f"s = {face.s} out of range [1, {q * (r - 1)}]")
         family, label = row_family, (face.i, q * (r - 1) + 2 - face.s)
     return (family.checks[family.labels.index(label)],)
 
@@ -484,7 +495,9 @@ class _Plan(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _plan(p: int, q: int, r: int, transport_only: bool) -> _Plan:
-    forced = set() if transport_only else _forced(p, q, r)
+    """The shape's ``_Plan``.  ``_search`` refuses a shape too deep to
+    search before it asks for one, so no plan is built for it."""
+    forced = frozenset() if transport_only else _forced(p, q, r)
     # Level by level, each by antidiagonals i + j from the last, rows ascending.
     free = tuple(
         sorted(
@@ -492,10 +505,6 @@ def _plan(p: int, q: int, r: int, transport_only: bool) -> _Plan:
             key=lambda idx: (idx // (p * q), -(idx // q % p + idx % q), idx),
         )
     )
-    limit = sys.getrecursionlimit()
-    if len(free) >= limit:
-        # The search takes one frame per free cell, so it could not finish.
-        raise RecursionError(f"{len(free)} free cells, recursion limit {limit}")
     pos_of = {idx: pos for pos, idx in enumerate(free)}
     units = tuple((idx // q % p, p + idx % q, p + q + idx // (p * q)) for idx in free)
 
@@ -654,13 +663,21 @@ def _search(
     raises there and is never cached, so it raises every time.  ``rec``
     stacks one frame per free cell and the leaf's, and on_solution's when
     enumerating, on the frames already in use, so the search refuses with
-    ``RecursionError`` before its first ``rec`` call when they would reach
-    the recursion limit.  The frames counted are Python frames: CPython
+    ``RecursionError`` when they would reach the recursion limit.  This is
+    the one depth guard, and it runs first: the free cells are pqr less the
+    cached ``_forced`` cells, so a refused shape plans nothing, compiles no
+    check and reads no face.  The frames counted are Python frames: CPython
     3.11 also counts calls from C code into Python that are still running
     (a test runner makes many), which no frame shows, so from such a stack
     the search can still meet Python's own ``RecursionError``.
     """
     p, q, r = len(lam), len(mu), len(tau)
+    n_free = p * q * r - (0 if transport_only else len(_forced(p, q, r)))
+    limit = sys.getrecursionlimit()
+    with suppress(ValueError):  # _getframe(k) raises unless this frame and k callers are in use
+        sys._getframe(max(limit - n_free - 2 - (on_solution is not None), 0))
+        # they are: with n_free frames, the leaf's (and on_solution's) on top they reach the limit
+        raise RecursionError(f"{n_free} free cells above the frames in use, recursion limit {limit}")
     plan = _plan(p, q, r, transport_only)
     form_plan = None if face is None else _form_plan(face, p, q, r, transport_only)
     target = lam + mu + tau
@@ -670,12 +687,6 @@ def _search(
     forms_at, last = form_plan or ((), 0)
     if last < 0:
         return 0
-    n_free = len(plan.free)
-    limit = sys.getrecursionlimit()
-    with suppress(ValueError):  # _getframe(k) raises unless this frame and k callers are in use
-        sys._getframe(max(limit - n_free - 2 - (on_solution is not None), 0))
-        # they are: with n_free frames, the leaf's (and on_solution's) on top they reach the limit
-        raise RecursionError(f"{n_free} free cells above the frames in use, recursion limit {limit}")
     steps, digits = _steps(p, q, r, transport_only, sum(lam))
     memos = () if on_solution is not None else ({}, _pair_memo(lam, mu, transport_only))  # off, on the union
 
@@ -794,25 +805,13 @@ def diag_values(tensor: Tensor3) -> tuple[Number, ...]:
     return tuple(level1[0][d] for d in range(p))
 
 
-def _check_col_ineq(j: int, t: int, p: int, q: int, r: int) -> None:
-    if not 1 <= j <= p:
-        raise ValueError(f"j = {j} out of range [1, {p}]")
-    if j == p and p >= q:
-        raise ValueError("C(p, t) is only defined when p < q")
-    if not 1 <= t <= p * (r - 1):
-        raise ValueError(f"t = {t} out of range [1, {p * (r - 1)}]")
-
-
-def _check_row_ineq(i: int, s: int, p: int, q: int, r: int) -> None:
-    if not 1 <= i <= p - 1:
-        raise ValueError(f"i = {i} out of range [1, {p - 1}]")
-    if not 1 <= s <= q * (r - 1):
-        raise ValueError(f"s = {s} out of range [1, {q * (r - 1)}]")
-
-
 def _slack(tensor: Tensor3, face: ColTight | RowTight) -> Number:
-    """sum(lhs) - sum(rhs) of the face's compiled check (see ``_face_forms``)."""
+    """sum(lhs) - sum(rhs) of the face's compiled check (see ``_face_forms``,
+    which validates the face first).  Raises ``NotDiagConstant`` unless
+    level 1 has the cone's diagonal form, on which the check equals the
+    named inequality's slack."""
     ((lhs, rhs),) = _face_forms(face, *tensor.dims)
+    diag_values(tensor)
     entries = _flat_entries(tensor)
     return sum(entries[t] for t in lhs) - sum(entries[t] for t in rhs)
 
@@ -823,8 +822,6 @@ def col_ineq_slack(tensor: Tensor3, j: int, t: int) -> Number:
     Raises ``NotDiagConstant`` unless level 1 has the cone's diagonal form,
     on which the compiled check equals that slack.
     """
-    _check_col_ineq(j, t, *tensor.dims)
-    diag_values(tensor)
     return _slack(tensor, ColTight(j, t))
 
 
@@ -833,8 +830,6 @@ def row_ineq_slack(tensor: Tensor3, i: int, s: int) -> Number:
 
     Raises ``NotDiagConstant`` as ``col_ineq_slack`` does.
     """
-    _check_row_ineq(i, s, *tensor.dims)
-    diag_values(tensor)
     return _slack(tensor, RowTight(i, s))
 
 

@@ -325,7 +325,7 @@ def test_column_matches_character_value():
     for n in range(11):
         classes = partitions_of(n)
         for lam in classes:
-            column = _column(_beta_mask(lam), n)
+            column = _column(_beta_mask(lam), n, n)
             assert len(column) == len(classes)
             for rho, value in zip(classes, column):
                 assert value == character_value(lam, rho), (lam, rho)
@@ -336,7 +336,7 @@ def test_capped_columns_are_suffixes_of_full_columns():
         classes = partitions_of(n)
         for lam in classes:
             mask = _beta_mask(lam)
-            full = _column(mask, n)
+            full = _column(mask, n, n)
             for cap in range(1, n):
                 capped = _column(mask, n, cap)
                 below = _partitions_below(n, cap)

@@ -246,6 +246,23 @@ def test_deep_input_exits_2_without_traceback():
     assert "Traceback" not in proc.stderr
 
 
+def test_too_deep_shape_gives_the_one_guard_message():
+    # (2^11)^3 has 1,331 - 55 = 1,276 free cells, more than the limit alone
+    # allows: the same guard refuses it, with the same message, before any
+    # plan is built.
+    deep = ",".join(["2"] * 11)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "crkron.cli", "count", "--lambda", deep, "--mu", deep, "--tau", deep],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: input too deep (1276 free cells above the frames in use, recursion limit 1000)\n"
+
+
 def test_input_too_deep_for_the_frames_in_use_is_refused():
     # 995 free cells fit under the recursion limit of 1000 alone, but not
     # above the frames the CLI already uses: the guard refuses it.

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -356,6 +357,13 @@ def _random_cr_shaped_tensor(p, q, r, seed):
     return Tensor3.from_levels([level1] + higher), xs
 
 
+def _break_level_1(tensor):
+    """The tensor with 1 added to level 1's cell (2, 1), off its diagonal form."""
+    levels = [[list(row) for row in level] for level in tensor.levels]
+    levels[0][1][0] += 1
+    return Tensor3.from_levels(levels)
+
+
 def test_col_ineq_slack_examples():
     tensor, xs = _random_cr_shaped_tensor(4, 11, 3, seed=5)
     gamma = lambda j, k: sum(tensor.entry(i, j, k) for i in range(1, 5))
@@ -367,13 +375,17 @@ def test_col_ineq_slack_examples():
     for j in range(1, 5):
         for t in range(1, 9):
             assert col_ineq_slack(zero, j, t) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("j = 5 out of range [1, 4]")):
         col_ineq_slack(tensor, 5, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("t = 9 out of range [1, 8]")):
         col_ineq_slack(tensor, 1, 9)
     square = Tensor3.zeros(2, 2, 2)
-    with pytest.raises(ValueError):
-        col_ineq_slack(square, 2, 1)  # C(p, t) needs p < q
+    with pytest.raises(ValueError, match=re.escape("C(p, t) is only defined when p < q")):
+        col_ineq_slack(square, 2, 1)
+    with pytest.raises(NotDiagConstant):
+        col_ineq_slack(_break_level_1(tensor), 2, 1)
+    with pytest.raises(NotDiagConstant):  # p > q is refused before the index range is read
+        col_ineq_slack(Tensor3.zeros(3, 2, 2), 5, 1)
 
 
 def test_row_ineq_slack_examples():
@@ -390,8 +402,14 @@ def test_row_ineq_slack_examples():
     for i in range(1, 3):
         for s in range(1, 17):
             assert row_ineq_slack(zero, i, s) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("i = 3 out of range [1, 2]")):
         row_ineq_slack(tensor, 3, 1)
+    with pytest.raises(ValueError, match=re.escape("s = 17 out of range [1, 16]")):
+        row_ineq_slack(tensor, 1, 17)
+    with pytest.raises(NotDiagConstant):
+        row_ineq_slack(_break_level_1(tensor), 2, 1)
+    with pytest.raises(NotDiagConstant):  # p > q is refused before the index range is read
+        row_ineq_slack(Tensor3.zeros(3, 2, 2), 3, 1)
 
 
 def test_slacks_match_prefix_sum_definition():
@@ -733,11 +751,16 @@ def test_count_leaves_no_cyclic_garbage():
 
 
 def test_refused_shape_compiles_no_check():
+    # The one depth guard runs in _search before anything is planned: a
+    # refused shape builds no plan, compiles no check and reads no face.
     twenties = (2,) * 20
-    before = polytope._compile_constraints.cache_info()
-    with pytest.raises(RecursionError):
-        count_points(CRSystem(twenties, twenties, twenties))
-    assert polytope._compile_constraints.cache_info() == before
+    caches = (polytope._plan, polytope._steps, polytope._compile_constraints, polytope._form_plan)
+    before = [cache.cache_info() for cache in caches]
+    refused = f"^7810 free cells above the frames in use, recursion limit {sys.getrecursionlimit()}$"
+    for face in (None, DiagZero(1)):
+        with pytest.raises(RecursionError, match=refused):
+            count_points(CRSystem(twenties, twenties, twenties), face)
+    assert [cache.cache_info() for cache in caches] == before
 
 
 def _points_of_shape(p, q, r, limit=8):
