@@ -23,7 +23,6 @@ in that order, so the first bad input in that order is the one reported.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from itertools import product
@@ -101,6 +100,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_json(payload) -> None:
+    """Print ``payload`` as one line of JSON with sorted keys.  ``json`` is
+    imported on the first call, so a command without JSON output (``dim``,
+    plain ``g``) never loads it."""
+    import json
+
+    print(json.dumps(payload, sort_keys=True))
+
+
 def _cmd_g(args) -> int:
     lam, mu, nu = _read_triple(args)
     if args.method == "oracle":
@@ -116,7 +124,7 @@ def _cmd_g(args) -> int:
         payload = {"value": value, "method": args.method}
         if terms is not None:
             payload["terms"] = terms
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload)
     else:
         print(value)
     return 0
@@ -139,7 +147,7 @@ def _cmd_count(args) -> int:
     system = CRSystem(lam, mu, tau, transport_only=args.transport)
     value = count_points(system)
     if args.json:
-        print(json.dumps({"count": value, "system": system.to_json_dict()}, sort_keys=True))
+        _print_json({"count": value, "system": system.to_json_dict()})
     else:
         print(value)
     return 0
@@ -158,7 +166,7 @@ def _cmd_points(args) -> int:
                 "T": t_multi.to_json_dict(),
                 "S": s_multi.to_json_dict(),
             }
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload)
     return 0
 
 
@@ -178,7 +186,7 @@ def _cmd_expand(args) -> int:
         ]
     else:
         payload = [{"sign": t.sign, "gamma": list(t.gamma)} for t in jt_expansion(nu)]
-    print(json.dumps(payload, sort_keys=True))
+    _print_json(payload)
     return 0
 
 

@@ -9,7 +9,6 @@ cancellation fails.  Both must agree with the character oracle everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .partitions import (
@@ -17,6 +16,7 @@ from .partitions import (
     InvariantViolation,
     Partition,
     SizeMismatch,
+    _Record,
     partition,
     sort_desc,
 )
@@ -31,16 +31,15 @@ from .polytope import (
     count_points,
 )
 
-@dataclass(frozen=True)
-class JTTerm:
+
+class JTTerm(_Record):
     """One signed complete-homogeneous term of a determinant expansion."""
 
     sign: int
     gamma: Composition
 
 
-@dataclass(frozen=True)
-class JTPairTerm:
+class JTPairTerm(_Record):
     """A signed h_rho * [h_(a,b) - h_(a+1,b-1)] summand of the pair expansion."""
 
     sign: int

@@ -7,6 +7,8 @@ count table per n, p(n, c) for c = 0..n, gives the number of partitions of
 n with parts at most c without listing any; in ``partitions_of`` order
 they are a suffix of width p(n, c).  ``partitions_of(n)`` is built once
 per n from those suffixes of the smaller lists and shares their tuples.
+Every other module imports this one, so it also holds ``_Record``, the
+immutable-record base of their record classes.
 """
 
 from __future__ import annotations
@@ -30,6 +32,53 @@ class SizeMismatch(ValueError):
 
 class InvariantViolation(RuntimeError):
     """A mathematical invariant failed: a fault in the program, not in its input."""
+
+
+class _Record:
+    """Immutable record whose fields are its class's annotations, in order.
+
+    It behaves as a frozen dataclass would, without importing ``dataclasses``,
+    which pulls ``inspect``, ``ast`` and ``dis`` into every process's
+    start-up: positional or keyword construction, then ``__post_init__``
+    if the class has one; equality only with the same class; a hash over
+    the fields; a ``Name(field=value, ...)`` repr; no assignment or
+    deletion.  ``__init__`` and ``_values`` are generated per class, as
+    dataclasses does, so Python binds the arguments and construction costs
+    one store per field.  The stores go through ``object.__setattr__``:
+    touching ``self.__dict__`` would give each instance a dict of its own,
+    which takes more memory and slows every attribute read.
+    """
+
+    def __init_subclass__(cls):
+        fields = cls._fields = tuple(cls.__annotations__)
+        lines = [f"def __init__(self, {', '.join(fields)}):"]
+        lines += [f"    _set(self, {name!r}, {name})" for name in fields]
+        if hasattr(cls, "__post_init__"):
+            lines.append("    self.__post_init__()")
+        lines.append(f"def _values(self): return ({''.join(f'self.{name}, ' for name in fields)})")
+        namespace = {"_set": object.__setattr__}
+        exec("\n".join(lines), namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls._values = namespace["_values"]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def partition(parts: Iterable[int]) -> Partition:

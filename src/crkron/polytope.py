@@ -71,22 +71,24 @@ from __future__ import annotations
 import random
 import sys
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
-from .partitions import Composition, Partition, SizeMismatch, composition, partition
+from .partitions import Composition, Partition, SizeMismatch, _Record, composition, partition
 
-Number = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# ``fractions`` (and the ``decimal`` it imports) is loaded only by the four
+# functions that build rational points, not by every ``import crkron``.
+Number = Union[int, "Fraction"]
 
 
 class NotDiagConstant(ValueError):
     """First level of a tensor is not in diagonal-constant triangular form."""
 
 
-@dataclass(frozen=True)
-class Tensor3:
+class Tensor3(_Record):
     """p x q x r array stored as a tuple of level matrices, level 1 first."""
 
     levels: tuple[tuple[tuple[Number, ...], ...], ...]
@@ -167,38 +169,33 @@ class Tensor3:
 # --- face predicates -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiagZero:
+class DiagZero(_Record):
     """Face x_i = 0 (i-th diagonal value of the first level)."""
 
     index: int
 
 
-@dataclass(frozen=True)
-class EntryZero:
+class EntryZero(_Record):
     """Face x^{(2)}_{l,l} = 0."""
 
     index: int
 
 
-@dataclass(frozen=True)
-class ColTight:
+class ColTight(_Record):
     """Face where the column inequality C(j, t) holds with equality."""
 
     j: int
     t: int
 
 
-@dataclass(frozen=True)
-class RowTight:
+class RowTight(_Record):
     """Face where the row inequality R(i, s) holds with equality."""
 
     i: int
     s: int
 
 
-@dataclass(frozen=True)
-class FaceUnion:
+class FaceUnion(_Record):
     """Union of faces; a point belongs if it lies in any member.  The hash
     is taken once, as ``_count`` and ``_form_plan`` key their caches on the
     union."""
@@ -857,6 +854,8 @@ def polytope_dim_bound(p: int, q: int, r: int) -> int:
 
 def hypercube_interval(j: int, q: int) -> tuple[Fraction, Fraction]:
     """Open interval I_j, nested so that everything in I_j exceeds I_{j+1}."""
+    from fractions import Fraction
+
     if not 1 <= j <= q:
         raise ValueError(f"j = {j} out of range [1, {q}]")
     return Fraction(2 * (q - j) + 1, 2 * q + 2), Fraction(2 * (q - j) + 2, 2 * q + 2)
@@ -881,6 +880,8 @@ def free_cone_coordinates(p: int, q: int, r: int) -> tuple[tuple, ...]:
 
 def build_hypercube_point(p: int, q: int, r: int, picks: dict) -> Tensor3:
     """Assemble a cone point from one value per free hypercube coordinate."""
+    from fractions import Fraction
+
     levels = [[[Fraction(0)] * q for _ in range(p)] for _ in range(r)]
     for coord in free_cone_coordinates(p, q, r):
         lo, hi = hypercube_interval(coord[1], q)
@@ -901,6 +902,8 @@ def build_hypercube_point(p: int, q: int, r: int, picks: dict) -> Tensor3:
 
 def hypercube_sample(p: int, q: int, r: int, seed: int) -> Tensor3:
     """Deterministic rational cone point drawn from the open hypercube."""
+    from fractions import Fraction
+
     rng = random.Random(f"column-row-hypercube:{p}:{q}:{r}:{seed}")
     picks = {}
     for coord in free_cone_coordinates(p, q, r):
@@ -911,6 +914,8 @@ def hypercube_sample(p: int, q: int, r: int, seed: int) -> Tensor3:
 
 def affine_rank(points: Sequence[Tensor3]) -> int:
     """Rank of the difference set of ``points`` under exact elimination."""
+    from fractions import Fraction
+
     if not points:
         raise ValueError("affine_rank needs at least one point")
     base = _flat_entries(points[0])

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -19,6 +18,7 @@ from .partitions import (
     InvariantViolation,
     Partition,
     SizeMismatch,
+    _Record,
     composition,
     partition,
 )
@@ -28,8 +28,7 @@ Word = tuple[int, ...]
 Matrix = Sequence[Sequence[int]]
 
 
-@dataclass(frozen=True)
-class SkewTableau:
+class SkewTableau(_Record):
     """Semistandard filling of the skew shape outer/inner.
 
     ``rows[i]`` holds the entries of row i in the columns inner_i .. outer_i - 1.
@@ -222,8 +221,7 @@ def main_lemma_conditions(matrix: Matrix) -> tuple[bool, bool]:
 # --- the tensor <-> (Q, P, (T, S)) correspondence ---------------------------
 
 
-@dataclass(frozen=True)
-class LRMultitableau:
+class LRMultitableau(_Record):
     """Chain of Littlewood-Richardson skew tableaux filling a nested shape."""
 
     components: tuple[SkewTableau, ...]

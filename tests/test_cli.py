@@ -310,6 +310,29 @@ def test_g_oracle_n40_subprocess():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
 
 
+def test_cli_import_loads_no_deferred_stdlib_module():
+    # `import crkron.cli` must not pay for dataclasses (and the inspect it
+    # pulls in), fractions/decimal or json: only the functions that build
+    # rational points import fractions, and only JSON output imports json.
+    # -S keeps site's own imports out of sys.modules.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import crkron.cli\n"
+        "names = ('dataclasses', 'inspect', 'fractions', 'decimal', 'json')\n"
+        "print([name for name in names if name in sys.modules])\n"
+        "from crkron.polytope import hypercube_sample\n"
+        "point = hypercube_sample(2, 3, 2, 0)\n"
+        "from fractions import Fraction\n"
+        "print(all(type(x) is Fraction for level in point.levels for row in level for x in row))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\nTrue\n", "")
+
+
 def test_selfcheck_deterministic_across_threads(capsys):
     outputs = []
     for threads in ("1", "2", "8"):

@@ -82,6 +82,17 @@ def test_jt_expansion_prunes_dead_branches():
         assert all(sum(t.gamma) == n and t.sign == (-1) ** (n - len(t.gamma)) for t in terms)
 
 
+def test_jt_expansion_term_count_formula():
+    # Row i of det(h_{nu_i - i + j}) takes only columns j >= i - nu_i, so
+    # the expansion has prod_i min(i, nu_i + 1) terms, counted without listing.
+    for n in range(1, 13):
+        for nu in partitions_of(n):
+            expected = 1
+            for i, part in enumerate(nu, 1):
+                expected *= min(i, part + 1)
+            assert len(jt_expansion(nu)) == expected, nu
+
+
 def test_jt_expansion_is_inverse_kostka_route():
     # signed lr-sums over the expansion reproduce the coefficient end to end
     for n in range(2, 7):

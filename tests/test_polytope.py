@@ -9,6 +9,7 @@ from itertools import permutations, product
 import pytest
 
 from crkron import polytope
+from crkron.kronecker import JTPairTerm, JTTerm
 from crkron.partitions import SizeMismatch, partitions_of
 from crkron.polytope import (
     ColTight,
@@ -34,7 +35,7 @@ from crkron.polytope import (
     polytope_dim_bound,
     row_ineq_slack,
 )
-from crkron.tableaux import main_lemma_conditions
+from crkron.tableaux import LRMultitableau, SkewTableau, main_lemma_conditions
 
 
 def test_tensor_basics():
@@ -327,6 +328,67 @@ def test_deep_counts_pinned():
     for k, count in expected.items():
         twos = (2,) * k
         assert count_points(CRSystem(twos, twos, twos)) == count, k
+
+
+# (class, field values in order, pinned repr) for every immutable record
+_RECORDS = [
+    (Tensor3, ((((1, 2),),),), "Tensor3(levels=(((1, 2),),))"),
+    (DiagZero, (1,), "DiagZero(index=1)"),
+    (EntryZero, (1,), "EntryZero(index=1)"),
+    (ColTight, (2, 1), "ColTight(j=2, t=1)"),
+    (RowTight, (1, 2), "RowTight(i=1, s=2)"),
+    (FaceUnion, ((EntryZero(1),),), "FaceUnion(faces=(EntryZero(index=1),))"),
+    (JTTerm, (1, (2, 1)), "JTTerm(sign=1, gamma=(2, 1))"),
+    (JTPairTerm, (-1, 2, 1, (1,)), "JTPairTerm(sign=-1, a=2, b=1, rho=(1,))"),
+    (SkewTableau, ((2, 1), (1,), ((2,), (1,))), "SkewTableau(outer=(2, 1), inner=(1,), rows=((2,), (1,)))"),
+    (
+        LRMultitableau,
+        ((SkewTableau((1,), (), ((1,),)),),),
+        "LRMultitableau(components=(SkewTableau(outer=(1,), inner=(), rows=((1,),)),))",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, values, text", _RECORDS, ids=[cls.__name__ for cls, _, _ in _RECORDS])
+def test_records_behave_as_frozen_values(cls, values, text):
+    record = cls(*values)
+    assert repr(record) == text
+    assert record == cls(*values) and hash(record) == hash(cls(*values))
+    assert record != values and record != object()
+    names = cls.__annotations__
+    assert cls(**dict(zip(names, values))) == record
+    assert tuple(getattr(record, name) for name in names) == values
+    name = next(iter(names))
+    with pytest.raises(AttributeError):
+        setattr(record, name, values[0])
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert repr(record) == text
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, values[-1])
+    with pytest.raises(TypeError):
+        cls(*values, extra=1)
+
+
+def test_records_of_different_classes_differ():
+    # DiagZero(1) and EntryZero(1) hash alike, so a cache keyed on faces
+    # tells them apart only by equality that checks the class.
+    assert DiagZero(1) != EntryZero(1) and hash(DiagZero(1)) == hash(EntryZero(1))
+    assert ColTight(1, 2) != RowTight(1, 2)
+    assert FaceUnion((DiagZero(1),)) != FaceUnion((EntryZero(1),))
+    system = CRSystem((3, 2, 1), (3, 2, 1), (3, 2, 1))
+    points = enumerate_points(system)
+    diag = sum(point.entry(1, 1, 1) == 0 for point in points)
+    entry = sum(point.entry(1, 1, 2) == 0 for point in points)
+    assert (diag, entry) == (2, 17)
+    assert count_points(system, DiagZero(1)) == diag
+    assert count_points(system, EntryZero(1)) == entry
+    assert count_points(system, FaceUnion((DiagZero(1),))) == diag
+    assert count_points(system, FaceUnion((EntryZero(1),))) == entry
 
 
 def test_face_counts_need_column_row_system():
