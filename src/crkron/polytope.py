@@ -68,7 +68,6 @@ it finds.
 
 from __future__ import annotations
 
-import random
 import sys
 from contextlib import suppress
 from functools import lru_cache
@@ -223,10 +222,12 @@ def _flat(i: int, j: int, k: int, p: int, q: int) -> int:
     return ((k - 1) * p + (i - 1)) * q + (j - 1)
 
 
-def _staircase(a: int, b: int) -> tuple[tuple[int, int], ...]:
-    """The cells (i, j) of an a x b matrix with i + j > a + 1: the main
-    lemma's canonicity conditions make them vanish."""
-    return tuple((i, j) for i in range(1, a + 1) for j in range(1, b + 1) if i + j > a + 1)
+def _staircase(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The entries, row by row, of the cells (i, j) with i + j > a + 1 of an
+    a x b matrix of flat indices: the main lemma's canonicity conditions
+    make them vanish."""
+    a = len(matrix)
+    return tuple(t for i, row in enumerate(matrix, 1) for j, t in enumerate(row, 1) if i + j > a + 1)
 
 
 class _Family(NamedTuple):
@@ -259,11 +260,8 @@ def _family(matrix: Sequence[Sequence[int]]) -> _Family:
     cols = tuple(zip(*matrix))
     a, b = len(matrix), len(cols)
     labels = tuple((j, i) for j in range(1, min(a, b)) for i in range(2, a + 2 - j))
-    return _Family(
-        tuple(matrix[i - 1][j - 1] for i, j in _staircase(a, b)),
-        labels,
-        tuple((cols[j - 1][i - 1 : a + 1 - j], cols[j][i - 2 : a - j]) for j, i in labels),
-    )
+    checks = tuple((cols[j - 1][i - 1 : a + 1 - j], cols[j][i - 2 : a - j]) for j, i in labels)
+    return _Family(_staircase(matrix), labels, checks)
 
 
 @lru_cache(maxsize=None)
@@ -280,9 +278,7 @@ def _forced(p: int, q: int, r: int) -> frozenset[int]:
     staircases of ``_flattenings`` alone: no check is compiled, so the
     depth guard in ``_search`` counts the free cells from them before
     anything is planned."""
-    return frozenset(
-        m[i - 1][j - 1] for m in _flattenings(p, q, r) for i, j in _staircase(len(m), len(m[0]))
-    )
+    return frozenset(t for matrix in _flattenings(p, q, r) for t in _staircase(matrix))
 
 
 def _holds(family: _Family, entries: Sequence[Number]) -> bool:
@@ -339,7 +335,9 @@ def _face_forms(face: FacePredicate, p: int, q: int, r: int) -> tuple:
 
 
 class CRSystem:
-    """Full constraint description of CR(lam, mu; tau).
+    """Full constraint description of CR(lam, mu; tau): the three targets,
+    and ``transport_only``.  Its shape is ``dims``, the lengths (p, q, r)
+    of lam, mu and tau.
 
     ``tau`` may contain zero parts: the corresponding levels are kept, with
     every entry forced to 0, so that level indices stay aligned with any
@@ -360,50 +358,42 @@ class CRSystem:
         self.tau = composition(tau)
         if sum(self.lam) != sum(self.mu) or sum(self.lam) != sum(self.tau):
             raise SizeMismatch(f"sizes of {lam}, {mu}, {tau} differ")
-        if not self.lam or not self.tau:
+        # A nonempty lam has a positive size, so mu and tau are nonempty too.
+        if not self.lam:
             raise ValueError("lam, mu, tau must all be nonempty")
-        self.p = len(self.lam)
-        self.q = len(self.mu)
-        self.r = len(self.tau)
         self.transport_only = bool(transport_only)
 
     @property
-    def column_inequalities(self) -> tuple[tuple[int, int], ...]:
-        """Labels (j, i) of the column family's checks.  The families are
-        compiled on first use, so a shape too deep to search is refused
-        before any check is compiled."""
-        return () if self.transport_only else _compile_constraints(self.p, self.q, self.r)[0].labels
-
-    @property
-    def row_inequalities(self) -> tuple[tuple[int, int], ...]:
-        """Labels (i, s) of the row family's checks."""
-        return () if self.transport_only else _compile_constraints(self.p, self.q, self.r)[1].labels
+    def dims(self) -> tuple[int, int, int]:
+        return len(self.lam), len(self.mu), len(self.tau)
 
     @property
     def vanishing(self) -> frozenset[tuple[int, int, int]]:
         """Cells (i, j, k) that either staircase forces to 0."""
-        p, q = self.p, self.q
-        flat = () if self.transport_only else _forced(p, q, self.r)
+        p, q, r = self.dims
+        flat = () if self.transport_only else _forced(p, q, r)
         return frozenset((t // q % p + 1, t % q + 1, t // (p * q) + 1) for t in flat)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.p, self.q, self.r
 
     def __repr__(self):
         kind = "T" if self.transport_only else "CR"
         return f"{kind}({self.lam}, {self.mu}; {self.tau})"
 
     def to_json_dict(self) -> dict:
+        """The targets, the shape, the vanishing cells and the labels of the
+        column and row families' checks.  The families are compiled here,
+        not in the constructor, so a shape too deep to search is refused
+        before any check is compiled."""
+        families = () if self.transport_only else _compile_constraints(*self.dims)
+        columns, rows = [[list(label) for label in family.labels] for family in families] or ([], [])
         return {
             "lambda": list(self.lam),
             "mu": list(self.mu),
             "tau": list(self.tau),
-            "dims": [self.p, self.q, self.r],
+            "dims": list(self.dims),
             "transportOnly": self.transport_only,
             "vanishing": sorted([i, j, k] for (i, j, k) in self.vanishing),
-            "columnInequalities": [list(label) for label in self.column_inequalities],
-            "rowInequalities": [list(label) for label in self.row_inequalities],
+            "columnInequalities": columns,
+            "rowInequalities": rows,
         }
 
 
@@ -411,27 +401,21 @@ def _flat_entries(tensor: Tensor3) -> list[Number]:
     return [x for level in tensor.levels for row in level for x in row]
 
 
-def _cone_conditions_hold(tensor: Tensor3) -> bool:
-    entries = _flat_entries(tensor)
-    return all(_holds(family, entries) for family in _compile_constraints(*tensor.dims))
-
-
 def in_cone(tensor: Tensor3) -> bool:
     """Membership in the column-row cone: all constraints, no marginal ties."""
-    return tensor.is_nonnegative() and _cone_conditions_hold(tensor)
+    if not tensor.is_nonnegative():
+        return False
+    entries = _flat_entries(tensor)
+    return all(_holds(family, entries) for family in _compile_constraints(*tensor.dims))
 
 
 def is_member(tensor: Tensor3, system: CRSystem) -> bool:
     """Membership of a (rational or integer) tensor in the system's polytope."""
     if tensor.dims != system.dims:
         raise SizeMismatch(f"tensor dims {tensor.dims} != system dims {system.dims}")
-    if not tensor.is_nonnegative():
+    if not tensor.is_nonnegative() or tensor.marginals() != (system.lam, system.mu, system.tau):
         return False
-    if tensor.marginals() != (system.lam, system.mu, system.tau):
-        return False
-    if system.transport_only:
-        return True
-    return _cone_conditions_hold(tensor)
+    return system.transport_only or in_cone(tensor)
 
 
 # --- exhaustive search -----------------------------------------------------
@@ -902,6 +886,7 @@ def build_hypercube_point(p: int, q: int, r: int, picks: dict) -> Tensor3:
 
 def hypercube_sample(p: int, q: int, r: int, seed: int) -> Tensor3:
     """Deterministic rational cone point drawn from the open hypercube."""
+    import random
     from fractions import Fraction
 
     rng = random.Random(f"column-row-hypercube:{p}:{q}:{r}:{seed}")

@@ -40,6 +40,8 @@ class SkewTableau(_Record):
 
     def __post_init__(self):
         outer, inner = self.outer, self.inner
+        partition(outer)  # both shapes are partitions, trailing zeros allowed
+        partition(inner)
         if len(self.rows) != len(outer):
             raise ValueError("one entry row per shape row required")
         pad = inner + (0,) * (len(outer) - len(inner))

@@ -147,6 +147,33 @@ def test_count_json_serializes_system(capsys):
     assert payload["system"]["columnInequalities"]
 
 
+def test_count_json_is_pinned(capsys):
+    # The whole count --json output for (3,2,1), (3,2,1), (2,2,2), byte for
+    # byte: targets, shape, vanishing cells and both families' labels.
+    labels = (
+        "[[1, 2], [1, 3], [1, 4], [1, 5], [1, 6], [1, 7], [1, 8], [1, 9], "
+        "[2, 2], [2, 3], [2, 4], [2, 5], [2, 6], [2, 7], [2, 8]]"
+    )
+    expected = {
+        (): (
+            f'{{"count": 32, "system": {{"columnInequalities": {labels}, "dims": [3, 3, 3], '
+            f'"lambda": [3, 2, 1], "mu": [3, 2, 1], "rowInequalities": {labels}, '
+            '"tau": [2, 2, 2], "transportOnly": false, '
+            '"vanishing": [[2, 3, 1], [3, 2, 1], [3, 3, 1]]}}\n'
+        ),
+        ("--transport",): (
+            '{"count": 552, "system": {"columnInequalities": [], "dims": [3, 3, 3], '
+            '"lambda": [3, 2, 1], "mu": [3, 2, 1], "rowInequalities": [], '
+            '"tau": [2, 2, 2], "transportOnly": true, "vanishing": []}}\n'
+        ),
+    }
+    for flags, want in expected.items():
+        code, out, _ = run_cli(
+            capsys, "count", "--lambda", "3,2,1", "--mu", "3,2,1", "--tau", "2,2,2", "--json", *flags
+        )
+        assert (code, out) == (0, want)
+
+
 def test_points_lines(capsys):
     code, out, _ = run_cli(capsys, "points", "--lambda", "2,1", "--mu", "2,1", "--tau", "2,1")
     assert code == 0
@@ -312,15 +339,16 @@ def test_g_oracle_n40_subprocess():
 
 def test_cli_import_loads_no_deferred_stdlib_module():
     # `import crkron.cli` must not pay for dataclasses (and the inspect it
-    # pulls in), fractions/decimal or json: only the functions that build
-    # rational points import fractions, and only JSON output imports json.
+    # pulls in), fractions/decimal, random or json: only the functions that
+    # build rational points import fractions, only the hypercube sampler
+    # imports random, and only JSON output imports json.
     # -S keeps site's own imports out of sys.modules.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     script = (
         "import sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "import crkron.cli\n"
-        "names = ('dataclasses', 'inspect', 'fractions', 'decimal', 'json')\n"
+        "names = ('dataclasses', 'inspect', 'fractions', 'decimal', 'random', 'json')\n"
         "print([name for name in names if name in sys.modules])\n"
         "from crkron.polytope import hypercube_sample\n"
         "point = hypercube_sample(2, 3, 2, 0)\n"

@@ -632,7 +632,17 @@ def test_dilation_rank_bound():
 def test_crsystem_validation_and_json():
     with pytest.raises(SizeMismatch):
         CRSystem((2, 1), (2, 1), (2,))
+    # An empty tau with a nonempty lam fails the size check; an empty lam
+    # (with an empty or all-zero tau) fails the emptiness check.
+    with pytest.raises(SizeMismatch, match=re.escape("sizes of (1,), (1,), () differ")):
+        CRSystem((1,), (1,), ())
+    for tau in ((), (0, 0)):
+        with pytest.raises(ValueError, match="^lam, mu, tau must all be nonempty$"):
+            CRSystem((), (), tau)
     system = CRSystem((2, 1), (2, 1), (2, 1))
+    # The system holds its targets alone; its shape is read off them.
+    assert vars(system) == {"lam": (2, 1), "mu": (2, 1), "tau": (2, 1), "transport_only": False}
+    assert system.dims == (2, 2, 2)
     payload = system.to_json_dict()
     assert payload["dims"] == [2, 2, 2]
     assert payload["transportOnly"] is False

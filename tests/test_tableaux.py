@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import permutations, product
 
 import pytest
@@ -282,14 +283,40 @@ def test_shapes_between_matches_brute_force():
 
 
 def test_skew_tableau_validation():
-    with pytest.raises(ValueError):
-        straight_tableau([[2, 1]])  # row decreasing
-    with pytest.raises(ValueError):
-        straight_tableau([[1, 1], [1]])  # column not strict
+    with pytest.raises(ValueError, match="^row 0 not weakly increasing$"):
+        straight_tableau([[2, 1]])
+    with pytest.raises(ValueError, match="^column 0 not strictly increasing$"):
+        straight_tableau([[1, 1], [1]])
+    with pytest.raises(ValueError, match="^one entry row per shape row required$"):
+        SkewTableau((2, 1), (), ((1, 1),))
+    with pytest.raises(ValueError, match=re.escape("inner shape (2, 2) not contained in (2, 1)")):
+        SkewTableau((2, 1), (2, 2), ((), ()))
+    with pytest.raises(ValueError, match="^row 0 has wrong length$"):
+        SkewTableau((2, 1), (), ((1,), (2,)))
+    with pytest.raises(ValueError, match="^entries must be positive$"):
+        SkewTableau((1,), (), ((0,),))
     tab = SkewTableau((2, 1), (1,), ((2,), (1,)))
     assert tab.size == 2
     assert tab.row_word() == (1, 2)
     assert tab.col_word() == (1, 2)
+
+
+def test_skew_tableau_shapes_are_partitions():
+    # Both shapes are checked as partitions before anything else.
+    with pytest.raises(NotWeaklyDecreasing, match=re.escape("(1, 2) is not weakly decreasing")):
+        SkewTableau((1, 2), (), ((1,), (2, 3)))
+    with pytest.raises(NotWeaklyDecreasing, match=re.escape("(1, 2) is not weakly decreasing")):
+        SkewTableau((1, 2), (), ())
+    with pytest.raises(NotWeaklyDecreasing, match=re.escape("(0, 1) is not weakly decreasing")):
+        SkewTableau((2, 2), (0, 1), ((1, 1), (2,)))
+    with pytest.raises(ValueError, match=re.escape("negative part -1 in (1, -1)")):
+        SkewTableau((1, -1), (), ((1,), ()))
+    with pytest.raises(ValueError, match=re.escape("negative part -1 in (-1,)")):
+        SkewTableau((2,), (-1,), ((1, 1, 1),))
+    # Trailing zeros are kept, with an empty entry row each.
+    tab = SkewTableau((2, 1, 0), (), ((1, 1), (2,), ()))
+    assert tab.outer == (2, 1, 0)
+    assert tab.col_word() == (2, 1, 1)
 
 
 def test_tableau_json():
@@ -300,15 +327,21 @@ def test_tableau_json():
 def test_lr_multitableau_validation():
     good = LRMultitableau((canonical_tableau((2, 1)),))
     assert good.shape == (2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^components do not chain$"):
         LRMultitableau((SkewTableau((2, 1), (1,), ((2,), (1,))),))  # chain must start at ()
+    with pytest.raises(ValueError, match="^component word is not a reverse lattice word$"):
+        LRMultitableau((straight_tableau([[2]]),))
 
 
 def test_malformed_matrices_are_rejected():
-    for matrix in ([[1, 0], [0]], [[1], [0, 2]], [[-1, 0], [0, 0]]):
-        with pytest.raises(ValueError):
+    for matrix, message in (
+        ([[1, 0], [0]], "^matrix rows must have equal length$"),
+        ([[1], [0, 2]], "^matrix rows must have equal length$"),
+        ([[-1, 0], [0, 0]], "^matrix entries must be nonnegative$"),
+    ):
+        with pytest.raises(ValueError, match=message):
             main_lemma_conditions(matrix)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             rsk(matrix)
 
 
