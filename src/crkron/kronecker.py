@@ -230,11 +230,14 @@ def phi_ell(tensor: Tensor3, ell: int) -> Tensor3:
 
 
 @lru_cache(maxsize=None)
-def _face_unions(p: int, q: int, ell: int) -> tuple[FaceUnion, FaceUnion]:
-    """F+ and F- of every pair term with len(lam) = p and len(mu) = q: the
-    faces depend on the shape and ell alone, so each union is built once.
-    Checks 1 <= ell <= p; the face routes pass p = max(len(lam), 1), so the
-    empty triple takes ell = 1."""
+def face_unions(p: int, q: int, ell: int) -> tuple[FaceUnion, FaceUnion]:
+    """(F+, F-) of every pair term with len(lam) = p and len(mu) = q.
+
+    F+ covers the points of CR(lam, mu; tau) outside the shift's image and
+    F- the points of CR(lam, mu; tau_bar) whose shift leaves CR(tau).  The
+    faces depend on the shape and ell alone, so each pair is built once and
+    shared.  Checks 1 <= ell <= p; the face routes pass p = max(len(lam), 1),
+    so the empty triple takes ell = 1."""
     if not 1 <= ell <= p:
         raise ValueError(f"ell = {ell} out of range [1, {p}]")
     plus: list = [DiagZero(ell - 1)] if ell >= 2 else []
@@ -248,19 +251,6 @@ def _face_unions(p: int, q: int, ell: int) -> tuple[FaceUnion, FaceUnion]:
     if ell <= p - 1:
         minus.extend(RowTight(ell, s) for s in range(1, q - ell + 2))
     return FaceUnion(tuple(plus)), FaceUnion(tuple(minus))
-
-
-def face_F_plus(lam: Partition, mu: Partition, tau: Composition, ell: int) -> FaceUnion:
-    """Faces of CR(lam, mu; tau) covering the points outside the shift's image.
-    ``tau`` is not read: the union depends on len(lam), len(mu) and ell, and
-    every call with those returns one shared object."""
-    return _face_unions(len(lam), len(mu), ell)[0]
-
-
-def face_F_minus(lam: Partition, mu: Partition, tau_bar: Composition, ell: int) -> FaceUnion:
-    """Faces of CR(lam, mu; tau_bar) covering the points whose shift leaves
-    CR(tau).  ``tau_bar`` is not read, as in ``face_F_plus``."""
-    return _face_unions(len(lam), len(mu), ell)[1]
 
 
 def _face_terms(lam: Partition, mu: Partition, nu: Partition, unions: tuple[FaceUnion, FaceUnion]):
@@ -277,7 +267,7 @@ def _face_terms(lam: Partition, mu: Partition, nu: Partition, unions: tuple[Face
 def face_term_breakdown(lam: Partition, mu: Partition, nu: Partition, ell: int = 1) -> list[dict]:
     """Per-term audit of the face formula after normalizing the triple."""
     lam2, mu2, nu2, shortcut = normalize_triple(lam, mu, nu)
-    unions = _face_unions(max(len(lam2), 1), len(mu2), ell)
+    unions = face_unions(max(len(lam2), 1), len(mu2), ell)
     if shortcut:
         return []
     return [
@@ -289,7 +279,7 @@ def face_term_breakdown(lam: Partition, mu: Partition, nu: Partition, ell: int =
 def kron_via_faces(lam: Partition, mu: Partition, nu: Partition, ell: int = 1) -> int:
     """Kronecker coefficient from face counts alone (must match kron_via_cr)."""
     lam2, mu2, nu2, shortcut = normalize_triple(lam, mu, nu)
-    unions = _face_unions(max(len(lam2), 1), len(mu2), ell)
+    unions = face_unions(max(len(lam2), 1), len(mu2), ell)
     if shortcut:
         return _shortcut_value(lam2, mu2, nu2)
     total = sum(term.sign * (plus - minus) for term, plus, minus in _face_terms(lam2, mu2, nu2, unions))

@@ -413,9 +413,9 @@ def is_member(tensor: Tensor3, system: CRSystem) -> bool:
     """Membership of a (rational or integer) tensor in the system's polytope."""
     if tensor.dims != system.dims:
         raise SizeMismatch(f"tensor dims {tensor.dims} != system dims {system.dims}")
-    if not tensor.is_nonnegative() or tensor.marginals() != (system.lam, system.mu, system.tau):
+    if tensor.marginals() != (system.lam, system.mu, system.tau):
         return False
-    return system.transport_only or in_cone(tensor)
+    return tensor.is_nonnegative() if system.transport_only else in_cone(tensor)
 
 
 # --- exhaustive search -----------------------------------------------------

@@ -185,19 +185,26 @@ def _matrix_rows(matrix: Matrix) -> list[tuple[int, ...]]:
     return rows
 
 
+def _record(rows: list[list[int]], letters: Iterable[tuple[int, int]], insert) -> list[list[int]]:
+    """Insert each ``(letter, label)`` into ``rows`` with ``insert`` and append
+    the label to the row of the new box; returns the labels by row, one list
+    per row of ``rows`` at the end, empty where no box was added."""
+    labels: list[list[int]] = [[] for _ in rows]
+    for letter, label in letters:
+        r = insert(rows, letter)[0]
+        if r == len(labels):
+            labels.append([])
+        labels[r].append(label)
+    return labels
+
+
 def _rsk_rows(matrix: Matrix) -> tuple[list[list[int]], list[list[int]]]:
     """Entry rows of (P, Q) = RSK(matrix): each entry (i, j), rows in order,
     row-inserts j as many times as it says and records i in the new box."""
+    rows = _matrix_rows(matrix)
+    letters = ((j, i) for i, row in enumerate(rows, 1) for j, mult in enumerate(row, 1) for _ in range(mult))
     p_rows: list[list[int]] = []
-    q_rows: list[list[int]] = []
-    for i, row in enumerate(_matrix_rows(matrix), start=1):
-        for j, mult in enumerate(row, start=1):
-            for _ in range(mult):
-                r = _row_insert(p_rows, j)[0]
-                if r == len(q_rows):
-                    q_rows.append([])
-                q_rows[r].append(i)
-    return p_rows, q_rows
+    return p_rows, _record(p_rows, letters, _row_insert)
 
 
 def rsk(matrix: Matrix) -> tuple[SkewTableau, SkewTableau]:
@@ -264,19 +271,13 @@ def _product_with_recording(levels: Sequence[list[list[int]]]) -> tuple[SkewTabl
     components: list[SkewTableau] = []
     inner: Partition = ()
     for level in levels:
-        new_rows: list[list[int]] = [[] for _ in rows]
-        for j in reversed(range(len(level[0]) if level else 0)):
-            for i, row in enumerate(level, start=1):
-                if len(row) <= j:
-                    break
-                r = _column_insert(rows, row[j])[0]
-                if r == len(new_rows):
-                    new_rows.append([])
-                new_rows[r].append(i)
-        outer = partition(len(row) for row in rows)
+        width = len(level[0]) if level else 0
+        letters = ((row[j], i) for j in reversed(range(width)) for i, row in enumerate(level, 1) if j < len(row))
+        new_rows = _record(rows, letters, _column_insert)
+        outer = tuple(map(len, rows))
         components.append(SkewTableau(outer, inner, tuple(map(tuple, new_rows))))
         inner = outer
-    return straight_tableau(rows), LRMultitableau(tuple(components))
+    return SkewTableau(inner, (), tuple(map(tuple, rows))), LRMultitableau(tuple(components))
 
 
 def theorem41_map(tensor: Tensor3) -> tuple[SkewTableau, SkewTableau, LRMultitableau, LRMultitableau]:
@@ -285,7 +286,8 @@ def theorem41_map(tensor: Tensor3) -> tuple[SkewTableau, SkewTableau, LRMultitab
     Each level matrix maps through RSK to the entry rows of a pair (P_k, Q_k);
     the P_k are multiplied by column insertion with the canonical tableaux's
     letters recorded into the new boxes, giving (P, S), and the Q_k give
-    (Q, T) the same way.  Only these four are built as validated tableaux.
+    (Q, T) the same way.  The per-level pairs stay entry rows; P, Q and every
+    component of S and T are built as validated tableaux.
     """
     _, _, r = tensor.dims
     levels = [_rsk_rows(tensor.level(k)) for k in range(1, r + 1)]

@@ -13,8 +13,7 @@ import pytest
 from crkron.characters import class_size, g_oracle, lr_oracle, perm_character_value
 from crkron.cli import main as cli_main
 from crkron.kronecker import (
-    face_F_minus,
-    face_F_plus,
+    face_unions,
     jt_pair_expansion,
     kron_via_cr,
     kron_via_faces,
@@ -99,9 +98,9 @@ def test_criterion_3_face_formula():
                         diff = count_points(sys_tau) - count_points(sys_bar)
                         assert diff >= 0, (lam2, mu2, term)
                         for ell in range(1, len(lam2) + 1):
-                            plus = count_points(sys_tau, face_F_plus(lam2, mu2, term.tau, ell))
+                            plus = count_points(sys_tau, face_unions(len(lam2), len(mu2), ell)[0])
                             minus = count_points(
-                                sys_bar, face_F_minus(lam2, mu2, term.tau_bar, ell)
+                                sys_bar, face_unions(len(lam2), len(mu2), ell)[1]
                             )
                             assert diff == plus - minus, (lam2, mu2, term, ell)
                             checked_terms += 1

@@ -1,3 +1,4 @@
+import re
 import sys
 from collections import Counter
 from functools import lru_cache
@@ -279,6 +280,13 @@ def test_malformed_cycle_types_and_compositions():
     for call in calls:
         with pytest.raises(ValueError, match=r"^negative part -1 in \("):
             call()
+
+
+def test_size_mismatches_name_both_sides():
+    with pytest.raises(SizeMismatch, match=re.escape("|(2, 1)| != |(2,)|")):
+        perm_character_value((2, 1), (2,))
+    with pytest.raises(SizeMismatch, match=re.escape("sizes of (2, 1), (2, 1), (2,) differ")):
+        lr_oracle((2, 1), (2, 1), (2,))
 
 
 def _g_by_classes(lam, mu, nu):

@@ -1,6 +1,7 @@
 import ast
 import gc
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -14,9 +15,8 @@ from crkron.characters import g_oracle, lr_oracle
 from crkron.kronecker import (
     JTPairTerm,
     cr_count,
-    face_F_minus,
-    face_F_plus,
     face_term_breakdown,
+    face_unions,
     jt_expansion,
     jt_pair_expansion,
     jt_term_breakdown,
@@ -253,19 +253,24 @@ def test_phi_ell_shifts_level_sums_only():
     assert shifted_any
 
 
+def test_phi_ell_refuses_a_negative_shift():
+    with pytest.raises(ValueError, match="^shift produced a negative entry$"):
+        phi_ell(Tensor3.zeros(2, 2, 2), 1)
+
+
 def test_face_unions():
     lam = mu = (3, 2, 1)
-    f1 = face_F_plus(lam, mu, (3, 3), 1)
+    f1 = face_unions(len(lam), len(mu), 1)[0]
     assert f1.faces == (EntryZero(1),)
-    fp = face_F_plus(lam, mu, (3, 3), 3)  # ell = p = q
+    fp = face_unions(len(lam), len(mu), 3)[0]  # ell = p = q
     assert fp.faces == (DiagZero(2), EntryZero(3))
-    fm = face_F_minus(lam, mu, (4, 2), 3)  # ell = p = q
+    fm = face_unions(len(lam), len(mu), 3)[1]  # ell = p = q
     assert fm.faces == (DiagZero(3),)
-    fm_low = face_F_minus(lam, mu, (4, 2), 1)
+    fm_low = face_unions(len(lam), len(mu), 1)[1]
     kinds = {type(f).__name__ for f in fm_low.faces}
     assert kinds == {"ColTight", "RowTight"}
     with pytest.raises(ValueError):
-        face_F_plus(lam, mu, (3, 3), 4)
+        face_unions(len(lam), len(mu), 4)
 
 
 def _reference_unions(p, q, ell):
@@ -284,22 +289,20 @@ def _reference_unions(p, q, ell):
     return FaceUnion(tuple(plus)), FaceUnion(tuple(minus))
 
 
-def test_face_unions_ignore_tau_and_are_shared():
-    # the unions depend on len(lam), len(mu) and ell only, so one object serves every tau
+def test_face_unions_are_keyed_by_shape_and_shared():
+    # the unions depend on p = len(lam), q = len(mu) and ell only, so one object serves each shape
     for p in range(1, 7):
         for q in range(1, 7):
-            lam, mu = (1,) * p, (1,) * q
             for ell in range(1, p + 1):
                 plus, minus = _reference_unions(p, q, ell)
-                assert face_F_plus(lam, mu, (2, 1), ell) == plus, (p, q, ell)
-                assert face_F_minus(lam, mu, (3, 0), ell) == minus, (p, q, ell)
-                assert face_F_plus(lam, mu, (2, 1), ell) is face_F_plus(lam, mu, (7,), ell)
-                assert face_F_minus(lam, mu, (3, 0), ell) is face_F_minus(lam, mu, (1, 1, 1), ell)
-                assert hash(face_F_plus(lam, mu, (), ell)) == hash(FaceUnion(plus.faces))
+                assert face_unions(p, q, ell)[0] == plus, (p, q, ell)
+                assert face_unions(p, q, ell)[1] == minus, (p, q, ell)
+                assert face_unions(p, q, ell)[0] is face_unions(p, q, ell)[0]
+                assert face_unions(p, q, ell)[1] is face_unions(p, q, ell)[1]
+                assert hash(face_unions(p, q, ell)[0]) == hash(FaceUnion(plus.faces))
             for bad in (0, p + 1):
-                for build in (face_F_plus, face_F_minus):
-                    with pytest.raises(ValueError, match=f"ell = {bad} out of range"):
-                        build(lam, mu, (1,), bad)
+                with pytest.raises(ValueError, match=re.escape(f"ell = {bad} out of range [1, {p}]")):
+                    face_unions(p, q, bad)
 
 
 def test_face_counts_match_shift_brute_force():
@@ -317,7 +320,7 @@ def test_face_counts_match_shift_brute_force():
                         for ell in range(1, p + 1):
                             z = z_matrix(ell, p, q, len(term.tau))
                             minus_z = _negated(z)
-                            plus = count_points(sys_tau, face_F_plus(lam2, mu2, term.tau, ell))
+                            plus = count_points(sys_tau, face_unions(len(lam2), len(mu2), ell)[0])
                             brute_plus = sum(
                                 1
                                 for point in enumerate_points(sys_tau)
@@ -328,7 +331,7 @@ def test_face_counts_match_shift_brute_force():
                             )
                             assert plus == brute_plus
                             minus = count_points(
-                                sys_bar, face_F_minus(lam2, mu2, term.tau_bar, ell)
+                                sys_bar, face_unions(len(lam2), len(mu2), ell)[1]
                             )
                             brute_minus = sum(
                                 1
@@ -367,11 +370,11 @@ def test_face_counts_match_slack_filter():
                         normalized.add((lam2, mu2, nu2))
     for lam2, mu2, nu2 in sorted(normalized):
         for term in jt_pair_expansion(nu2):
-            for tau, faces_of in ((term.tau, face_F_plus), (term.tau_bar, face_F_minus)):
+            for tau, side in ((term.tau, 0), (term.tau_bar, 1)):
                 system = CRSystem(lam2, mu2, tau)
                 points = enumerate_points(system)
                 for ell in range(1, len(lam2) + 1):
-                    union = faces_of(lam2, mu2, tau, ell)
+                    union = face_unions(len(lam2), len(mu2), ell)[side]
                     assert count_points(system, union) == sum(_on_face(x, union) for x in points)
                     assert tuple(count_points(system, f) for f in union.faces) == tuple(
                         sum(_on_face(x, face) for x in points) for face in union.faces
@@ -398,9 +401,9 @@ def test_per_term_cancellation_identity():
                         diff = count_points(sys_tau) - count_points(sys_bar)
                         assert diff >= 0  # each pair encodes a genuine character
                         for ell in range(1, p + 1):
-                            plus = count_points(sys_tau, face_F_plus(lam2, mu2, term.tau, ell))
+                            plus = count_points(sys_tau, face_unions(len(lam2), len(mu2), ell)[0])
                             minus = count_points(
-                                sys_bar, face_F_minus(lam2, mu2, term.tau_bar, ell)
+                                sys_bar, face_unions(len(lam2), len(mu2), ell)[1]
                             )
                             assert diff == plus - minus
 

@@ -122,6 +122,15 @@ def test_is_member_examples():
         is_member(Tensor3.zeros(2, 2, 2), system)
 
 
+def test_negative_tensor_is_outside_cone_and_polytope():
+    # the margins of CR((3, 2), (3, 2); (5,)), but with two negative entries
+    negative = Tensor3.from_levels([[[4, -1], [-1, 3]]])
+    assert negative.marginals() == ((3, 2), (3, 2), (5,))
+    assert not in_cone(negative)
+    for transport_only in (False, True):
+        assert not is_member(negative, CRSystem((3, 2), (3, 2), (5,), transport_only=transport_only))
+
+
 def test_count_points_examples():
     for lam in partitions_of(4):
         for mu in partitions_of(4):
@@ -596,6 +605,27 @@ def test_affine_rank():
         affine_rank([])
 
 
+def test_validation_messages_pinned():
+    with pytest.raises(ValueError, match="^tensor needs at least one level$"):
+        Tensor3(())
+    with pytest.raises(ValueError, match="^tensor needs at least one row$"):
+        Tensor3(((),))
+    with pytest.raises(ValueError, match="^tensor needs at least one column$"):
+        Tensor3((((),),))
+    with pytest.raises(SizeMismatch, match=re.escape("dims (2, 2, 2) != (2, 3, 2)")):
+        Tensor3.zeros(2, 2, 2) + Tensor3.zeros(2, 3, 2)
+    with pytest.raises(ValueError, match=re.escape("DiagZero(index=3) out of range [1, 2]")):
+        count_points(CRSystem((2, 1), (2, 1), (2, 1)), DiagZero(3))
+    with pytest.raises(NotDiagConstant, match=re.escape("requires p <= q, got dims (3, 2, 1)")):
+        diag_values(Tensor3.zeros(3, 2, 1))
+    with pytest.raises(ValueError, match=re.escape("j = 0 out of range [1, 3]")):
+        hypercube_interval(0, 3)
+    with pytest.raises(ValueError, match=re.escape("pick for ('diag', 1) outside 1/4..1/2")):
+        build_hypercube_point(1, 1, 1, {("diag", 1): 0})
+    with pytest.raises(SizeMismatch, match="^points must share dimensions$"):
+        affine_rank([Tensor3.zeros(1, 1, 1), Tensor3.zeros(1, 2, 1)])
+
+
 def test_hypercube_corners_have_full_rank():
     p, q, r = 3, 6, 2
     coords = free_cone_coordinates(p, q, r)
@@ -996,7 +1026,7 @@ def test_memo_slot_is_exact_across_tau():
     # One (lam, mu) shares its slot across every tau and face union.  The
     # level residuals in the key tell apart taus whose zero parts sit in
     # different places and the key's length tells apart r.
-    from crkron.kronecker import face_F_minus, face_F_plus
+    from crkron.kronecker import face_unions
 
     lam, mu = (3, 2), (2, 2, 1)
     taus = [tau for r in range(1, 6) for tau in product(range(6), repeat=r) if sum(tau) == 5]
@@ -1005,8 +1035,8 @@ def test_memo_slot_is_exact_across_tau():
         counts.append((CRSystem(lam, mu, tau), None))
         counts.append((CRSystem(lam, mu, tau, transport_only=True), None))
         if len(tau) >= 2:
-            counts.append((CRSystem(lam, mu, tau), face_F_plus(lam, mu, tau, 1)))
-            counts.append((CRSystem(lam, mu, tau), face_F_minus(lam, mu, tau, 1)))
+            counts.append((CRSystem(lam, mu, tau), face_unions(len(lam), len(mu), 1)[0]))
+            counts.append((CRSystem(lam, mu, tau), face_unions(len(lam), len(mu), 1)[1]))
     cold = [_cold(lambda: count_points(system, face)) for system, face in counts]
     rng = random.Random("memo-slot-across-tau")
     order = list(range(len(counts)))

@@ -259,6 +259,11 @@ def test_kostka_takes_sequences_and_shares_cache_entries():
     assert tableaux._kostka.cache_info().currsize == before
 
 
+def test_kostka_size_mismatch():
+    with pytest.raises(SizeMismatch, match=re.escape("|(2, 1)| != |(2,)|")):
+        kostka((2, 1), (2,))
+
+
 def test_kostka_pinned_large():
     assert kostka((40, 40), (2,) * 40) == 17047255430494497
     assert kostka((80, 80), (2,) * 80) == 74471367333926485356188553908612137
